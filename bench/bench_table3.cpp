@@ -3,7 +3,7 @@
 // transitions described in §IV.
 //
 // Shape target (not absolute numbers): the verdict column must match the
-// paper. Our backend is the built-in BMC/k-induction/PDR engine instead of
+// paper. Our backend is the built-in BMC/PDR engine instead of
 // JasperGold 2015.12, so runtimes differ; who-proves and who-fails must not.
 #include <cstdio>
 
@@ -127,6 +127,6 @@ int main(int argc, char** argv) {
     std::cout << table.str();
 
     std::cout << "\nRows match the paper when 'Paper result' and 'Reproduced result' agree in\n"
-                 "kind (proof vs bug vs mixed). See EXPERIMENTS.md for the discussion.\n";
+                 "kind (proof vs bug vs mixed).\n";
     return 0;
 }

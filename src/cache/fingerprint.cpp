@@ -54,15 +54,16 @@ uint64_t optionsDigest(const formal::EngineOptions& opts, Stage stage, bool cove
     // global budget pool left it, and every lemma chain link is seeded
     // with the invariants proven before it. v8: PDR lifts its obligation
     // cubes by ternary simulation and searches up to 120 frames, which
-    // moves budget-bound searches and the invariants proofs record.
-    constexpr uint64_t kFormatVersion = 8;
+    // moves budget-bound searches and the invariants proofs record. v9:
+    // k-induction left the pipeline, so a Frontier record is a BMC-probe
+    // verdict and every proof comes from PDR.
+    constexpr uint64_t kFormatVersion = 9;
     Mix128 h;
     h.mix(kFormatVersion);
     h.mix(static_cast<uint64_t>(stage));
     h.mix(static_cast<uint64_t>(kind));
     h.mix(coverMode ? 1 : 0);
     h.mix(static_cast<uint64_t>(opts.bmcDepth));
-    h.mix(static_cast<uint64_t>(opts.maxInductionK));
     h.mix(opts.pdrMaxQueries);
     // perturbSeed is deliberately absent: like `jobs`, it cannot move a
     // verdict (the fuzz suite gates that), so seeded and unseeded runs

@@ -4,8 +4,8 @@
 // cone of influence of its bad literal(s) over the AIG — including the
 // transitive fanin through latch next-state functions — (b) the frame
 // constraints the engine applies, and (c) the engine bounds that affect
-// which verdict a bounded procedure can reach (BMC depth, induction k,
-// PDR budgets). fingerprintCone() hashes exactly that closure into a
+// which verdict a bounded procedure can reach (BMC depth, the PDR query
+// budget). fingerprintCone() hashes exactly that closure into a
 // stable 128-bit key: node identity is canonicalized by deterministic
 // traversal order, so AIG variable renumbering caused by edits *outside*
 // the cone does not move the key, while any structural change *inside* the
@@ -41,11 +41,11 @@ struct FingerprintHash {
 };
 
 /// Which slice of the strategy pipeline a cached artifact covers. Liveness
-/// obligations are discharged in two steps (parallel BMC + k-induction,
-/// then the sequential PDR lemma chain), so the two steps key separately.
+/// obligations are discharged in two steps (the parallel BMC probe, then
+/// the sequential PDR lemma chain), so the two steps key separately.
 enum class Stage : uint8_t {
-    FullPipeline = 0, ///< BMC -> k-induction -> PDR (phase-A jobs).
-    Frontier = 1,     ///< BMC -> k-induction only (liveness pre-pass).
+    FullPipeline = 0, ///< BMC probe -> PDR (phase-A jobs).
+    Frontier = 1,     ///< The BMC probe only (liveness pre-pass).
     ChainPdr = 2,     ///< The sequential liveness PDR step.
 };
 

@@ -6,8 +6,8 @@
 //                   "AutoSVA generates FTs in under a second".
 //
 //   verify()      — run a generated testbench end-to-end with the built-in
-//                   model checker (BMC + k-induction + PDR + liveness-to-
-//                   safety) and return a per-property report. Substitutes
+//                   model checker (BMC probe + PDR + liveness-to-safety)
+//                   and return a per-property report. Substitutes
 //                   for the JasperGold runs in the paper's evaluation.
 #pragma once
 

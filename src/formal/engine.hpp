@@ -2,13 +2,13 @@
 //
 // Per design: bit-blast once, then discharge every obligation through the
 // parallel obligation scheduler (see scheduler.hpp):
-//  - safety asserts:  BMC (counterexamples), then k-induction with
-//                     simple-path constraints, then PDR (proofs)
+//  - safety asserts:  a shallow BMC probe (counterexamples), then PDR
+//                     (proofs and deeper counterexamples)
 //  - liveness asserts: liveness-to-safety transformation (shadow state,
 //                     Biere/Artho/Schuppan) honouring fairness assumptions,
 //                     then the same pipeline -> lasso counterexamples or
 //                     proofs
-//  - covers:          BMC reachability; induction/PDR conclude Unreachable
+//  - covers:          BMC reachability; PDR concludes Unreachable
 //  - assumes:         safety assumes become frame constraints; liveness
 //                     assumes become fairness constraints
 //

@@ -1,11 +1,12 @@
 // Property Directed Reachability (IC3/PDR) — the unbounded safety prover.
 //
-// BMC finds counterexamples and k-induction proves shallow properties, but
-// the liveness-to-safety obligations AutoSVA generates need reachability
-// reasoning (a lasso through an unreachable state defeats plain induction).
-// PDR incrementally learns inductive lemmas (blocked cubes) per frame until
-// an inductive invariant excluding `bad` emerges — the same class of engine
-// (IC3) that JasperGold uses for unbounded proofs in the paper's evaluation.
+// A shallow BMC probe finds short counterexamples; every proof comes from
+// PDR. The liveness-to-safety obligations AutoSVA generates need
+// reachability reasoning (a lasso through an unreachable state defeats
+// plain induction): PDR incrementally learns inductive lemmas (blocked
+// cubes) per frame until an inductive invariant excluding `bad` emerges —
+// the same class of engine (IC3) that JasperGold uses for unbounded proofs
+// in the paper's evaluation.
 //
 // One pdrCheck call is one search: one long-lived incremental frame solver
 // per frame (clause groups for per-query facts, periodic

@@ -28,7 +28,7 @@ struct CexTrace {
 };
 
 enum class Status {
-    Proven,      ///< Assertion holds (k-induction converged).
+    Proven,      ///< Assertion holds (PDR found an inductive invariant).
     Failed,      ///< Counterexample found.
     Covered,     ///< Cover target reached.
     Unreachable, ///< Cover target proven unreachable.
@@ -58,7 +58,7 @@ struct PropertyResult {
     std::string name;
     ir::Obligation::Kind kind = ir::Obligation::Kind::SafetyBad;
     Status status = Status::Unknown;
-    int depth = -1;      ///< CEX length / induction k / cover depth / bound.
+    int depth = -1;      ///< CEX length / PDR convergence frame / cover depth / bound.
     double seconds = 0.0;
     bool cached = false; ///< Served from the proof cache (no SAT work).
     /// Set (non-None) only when status is Unknown because a deadline or
@@ -77,13 +77,12 @@ struct PropertyResult {
 struct EngineOptions {
     /// Max BMC unrolling depth. BMC is a shallow probe, not the
     /// counterexample search: at 8 it still finds every registry cover and
-    /// lasso (the deepest is 6 frames) and supplies the k-induction base
-    /// case (maxInductionK <= bmcDepth). PDR decides everything deeper, and
-    /// runPdr replays each PDR counterexample on a fresh solver searching
-    /// up from k = 0 — bmcFromReset, the loop runBmcFresh's lasso replay
-    /// runs — so reported depths, trace lengths and loop starts are
-    /// the shortest ones whatever this bound is; canonical reports do not
-    /// depend on it. Why 8, measured with `autosva run-design --no-cache`
+    /// lasso (the deepest is 6 frames). PDR proves everything that holds
+    /// and finds every counterexample deeper than the probe, and runPdr
+    /// replays each PDR counterexample on a fresh solver searching up from
+    /// k = 0 — bmcFromReset, the loop runBmcFresh's lasso replay runs — so
+    /// reported depths, trace lengths and loop starts are the shortest ones
+    /// whatever this bound is; canonical reports do not depend on it. Why 8, measured with `autosva run-design --no-cache`
     /// on a 4-vCPU x86 host: at 4, noc_buffer BUG=1's depth-5/6
     /// counterexamples move to PDR (0.06 s -> 1.3 s), and every frame past
     /// 8 adds sweeps over properties PDR proves anyway (the seven cold
@@ -92,7 +91,6 @@ struct EngineOptions {
     /// within pdrMaxQueries is now Unknown; 25 restores the old search.
     /// In the cache options digest.
     int bmcDepth = 8;
-    int maxInductionK = 4;      ///< Max k for quick induction proofs (<= bmcDepth).
     /// PDR SAT-query budget per property: one search per obligation, never
     /// extended. Seed admission and the level-0 check run outside it.
     uint64_t pdrMaxQueries = 1000000;
@@ -139,8 +137,9 @@ struct EngineOptions {
     /// every in-flight solve is cancelled and remaining obligations drain
     /// as Unknown(run-budget); the run still reports every obligation.
     double timeBudgetSeconds = 0.0;
-    /// Per-obligation wall-clock deadline in seconds (0 = unlimited),
-    /// cumulative across the obligation's pipeline stages.
+    /// Per-obligation wall-clock deadline in seconds (0 = unlimited). It
+    /// bounds the obligation's PDR stage; BMC sweeps serve many obligations
+    /// at once and answer to timeBudgetSeconds instead.
     double obligationTimeoutSeconds = 0.0;
     /// External orderly-stop flag (the CLI's SIGINT/SIGTERM handler sets
     /// it); polled by the watchdog. The pointee must outlive the run.
@@ -155,14 +154,14 @@ struct EngineStats {
     uint64_t cacheHits = 0;
     uint64_t cacheStores = 0;
     uint64_t cacheSeededLemmas = 0;
-    /// Encoder counters over the strategy-layer solvers (BMC, k-induction,
-    /// trace replay, pooled contexts; PDR's internal frame solvers keep
-    /// their own query counter). These are what solver reuse and the AIG
-    /// rewrite shrink.
+    /// Encoder counters over the strategy-layer solvers (the BMC sweeps,
+    /// lasso and cex replays; PDR's internal frame solvers keep their own
+    /// query counter). These are what solver reuse and the AIG rewrite
+    /// shrink.
     uint64_t encoderVars = 0;       ///< Tseitin variables created.
     uint64_t encoderClauses = 0;    ///< Problem clauses added.
     uint64_t conesMaterialized = 0; ///< Unroller root cones encoded on demand.
-    uint64_t solverReuses = 0;      ///< Jobs served by an already-warm pooled solver.
+    uint64_t solverReuses = 0;      ///< Jobs a BMC sweep solver served beyond its first.
     /// PDR observability (aggregated over every pdrCheck of the run; the
     /// --stats "pdr:" line and the bench --json rows carry them).
     uint64_t pdrFramesOpened = 0;      ///< Frame solvers constructed.
@@ -175,7 +174,7 @@ struct EngineStats {
     uint64_t pdrLiftedLiterals = 0;    ///< Model-cube literals removed by lifting.
     /// SAT work inside PDR: every frame solver, level-0 check and seed
     /// admission solver. `conflicts` / `propagations` above count only the
-    /// strategy-layer solvers (BMC, induction, cex replay).
+    /// strategy-layer solvers (BMC, cex replay).
     uint64_t pdrConflicts = 0;
     uint64_t pdrPropagations = 0;
     /// Always 0: the SAT solvers no longer eliminate variables. Kept only

@@ -691,7 +691,7 @@ SatResult SatSolver::solve(const std::vector<SatLit>& assumptions) {
                 // first assumptions.size() levels hold the (possibly empty)
                 // assumption decisions, and re-deciding them after every
                 // restart would re-propagate the whole assumption prefix —
-                // ruinous for pooled solvers whose frame constraints are
+                // ruinous for long-lived solvers whose per-query facts are
                 // assumption-activated rather than level-0 units.
                 cancelUntil(std::min(decisionLevel(),
                                      static_cast<int>(assumptions.size())));

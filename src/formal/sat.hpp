@@ -1,7 +1,7 @@
 // From-scratch CDCL SAT solver: two-watched literals, 1UIP conflict
 // learning, VSIDS decision heuristic with phase saving, Luby restarts and
 // LBD-based learnt-clause reduction. Supports incremental solving under
-// assumptions, which the BMC / k-induction engines rely on.
+// assumptions, which the BMC / PDR engines rely on.
 //
 // The solver searches exactly the CNF it is given. The only rewriting is
 // clause hygiene at addClause() entry (sorting, duplicate and level-0-false
@@ -130,11 +130,12 @@ public:
     [[nodiscard]] std::optional<std::vector<int>> collectGarbage();
 
     /// Resets the search heuristics (VSIDS activities, saved phases) to
-    /// their initial state while keeping the clause database. A pooled
-    /// solver calls this between obligations: the next job then searches
-    /// like a fresh solver — stale activity tuned to the previous job's
-    /// cone otherwise degrades it — but still profits from the shared
-    /// encoding and the learnt clauses.
+    /// their initial state while keeping the clause database. The BMC
+    /// sweep, whose one solver serves a whole batch of obligations, calls
+    /// this at each frame boundary: the next job then searches like a
+    /// fresh solver — stale activity tuned to another job's cone otherwise
+    /// degrades it — but still profits from the shared encoding and the
+    /// learnt clauses.
     void resetSearchState();
 
     /// Solves under the given assumptions.

@@ -41,7 +41,7 @@ uint64_t peakRssKb() {
 
 /// Clamp an EngineOptions::jobs value to the usable worker count for
 /// `numTasks` tasks. parallelFor applies the same clamp, so callers that
-/// size per-worker state (solver pools) agree with it on the count.
+/// partition work per worker (BMC batches) agree with it on the count.
 [[nodiscard]] int workerCount(int jobs, size_t numTasks) {
     return std::min(std::max(jobs, 1), static_cast<int>(numTasks));
 }
@@ -86,10 +86,6 @@ void parallelFor(int workers, size_t numTasks,
 void finalizeDepth(ObligationJob& job, const EngineOptions& opts) {
     if (job.result.status == Status::Unknown && job.result.depth < 0)
         job.result.depth = opts.bmcDepth;
-    // A stage may have tagged a degradation reason before a later stage
-    // (chain PDR, a cache hit) decided the job after all.
-    if (job.result.status != Status::Unknown)
-        job.result.unknownReason = UnknownReason::None;
 }
 
 /// Perturbation-fuzz hook: the processing order of `jobs` — unchanged, or
@@ -249,7 +245,6 @@ std::vector<PdrCube> mapLemmas(const std::vector<cache::NamedCube>& lemmas,
 
 ObligationScheduler::ObligationScheduler(const ir::Design& design, EngineOptions opts)
     : design_(design), opts_(opts), bb_(bitblast(design, opts_.aigRewrite)) {
-    opts_.maxInductionK = std::min(opts_.maxInductionK, opts_.bmcDepth);
     for (const auto& ob : design.obligations()) {
         if (ob.xprop) continue;
         if (ob.kind == ir::Obligation::Kind::Constraint)
@@ -270,10 +265,7 @@ ObligationScheduler::~ObligationScheduler() = default;
 void ObligationScheduler::settleDeadline(ObligationJob& job,
                                          const robust::Watchdog::JobGuard& guard) const {
     job.watchdogStop = nullptr;
-    if (job.result.status != Status::Unknown) {
-        job.result.unknownReason = UnknownReason::None;
-        return;
-    }
+    if (job.result.status != Status::Unknown) return;
     const robust::Watchdog::Cause cause = guard.cause();
     if (cause == robust::Watchdog::Cause::None) return;
     switch (cause) {
@@ -293,9 +285,13 @@ void ObligationScheduler::settleDeadline(ObligationJob& job,
                              {{"cause", static_cast<uint64_t>(cause)}});
 }
 
-bool ObligationScheduler::cacheStorable(const ObligationJob& job) {
+bool ObligationScheduler::cacheStorable(const ObligationJob& job) const {
     if (job.result.unknownReason != UnknownReason::None) return false;
     if (job.result.status == Status::Unknown) {
+        // A fired run token leaves a BMC sweep's jobs Unknown without a
+        // reason: no guard covers a sweep, and the Frontier store comes
+        // before the chain link that would tag the job.
+        if (watchdog_ && watchdog_->runExpired()) return false;
         // An injected solver interrupt degrades a job to Unknown without a
         // watchdog cause; keep those out of the cache too.
         robust::FaultPlan* plan = robust::FaultPlan::active();
@@ -369,9 +365,9 @@ void ObligationScheduler::runPhaseBatched(const ProofContext& baseCtx,
             toProve.push_back(job);
     if (toProve.empty()) return;
 
-    // Fuzz hook: permute the submission order (which changes batch
-    // composition and pool warm-up order — both of which the determinism
-    // contract says cannot move a verdict).
+    // Fuzz hook: permute the submission order, which changes batch
+    // composition; the determinism contract says that cannot move a
+    // verdict.
     toProve = perturbedOrder(std::move(toProve), opts_.perturbSeed, fullPipeline ? 1 : 2);
 
     // Frame-lockstep batched BMC: a static round-robin partition, one
@@ -386,21 +382,6 @@ void ObligationScheduler::runPhaseBatched(const ProofContext& baseCtx,
         obs::LaneScope lane(w);
         runBmcBatch(baseCtx, batches[b]);
     });
-
-    // k-induction on the survivors, one task per job, with per-worker
-    // solver pools (shared per-k induction contexts).
-    std::vector<SolverPool> pools(static_cast<size_t>(workers));
-    parallelFor(opts_.jobs, toProve.size(), [&](int w, size_t t) {
-        obs::LaneScope lane(w);
-        ObligationJob& job = *toProve[t];
-        ProofContext ctx = baseCtx;
-        ctx.pool = &pools[static_cast<size_t>(w)];
-        robust::Watchdog::JobGuard guard = guardJob(job);
-        job.watchdogStop = guard.token();
-        if (job.result.status == Status::Unknown) runInduction(ctx, job);
-        settleDeadline(job, guard);
-    });
-    for (const SolverPool& pool : pools) pool.accumulate(shared_);
 }
 
 void ObligationScheduler::runPdrStage(const ProofContext& baseCtx,
@@ -409,7 +390,8 @@ void ObligationScheduler::runPdrStage(const ProofContext& baseCtx,
     parallelFor(opts_.jobs, order.size(), [&](int w, size_t t) {
         obs::LaneScope lane(w);
         ObligationJob& job = *order[t];
-        robust::Watchdog::JobGuard guard = guardJob(job);
+        robust::Watchdog::JobGuard guard =
+            watchdog_ ? watchdog_->guardJob() : robust::Watchdog::JobGuard{};
         job.watchdogStop = guard.token();
         runPdr(baseCtx, job);
         settleDeadline(job, guard);
@@ -505,8 +487,8 @@ std::vector<PropertyResult> ObligationScheduler::run() {
     }
 
     // ---- Phase A: safety assertions and covers, in parallel; jobs are
-    // mutually independent on the immutable base AIG. Cache pass, batched
-    // BMC and induction, then the PDR stage over the survivors, then one
+    // mutually independent on the immutable base AIG. Cache pass, the
+    // batched BMC probe, then the PDR stage over the survivors, then one
     // store per job — so the cache sees the PDR verdicts.
     util::Stopwatch phaseATimer;
     obs::Span phaseASpan(rec, "phase", "phase-a");
@@ -541,7 +523,7 @@ std::vector<PropertyResult> ObligationScheduler::run() {
         ProofContext liveCtx{design_,  bb_,   live_->aig(), liveConstraints,
                              opts_,    live_->saveOracle(), &shared_};
         if (watchdog_) liveCtx.runStop = watchdog_->runToken();
-        // Phase B gets fresh batches/pools: the live AIG and the
+        // Phase B gets fresh BMC batches: the live AIG and the
         // strengthened constraint set invalidate phase A's encodings, and
         // the lemma chain below mutates the live AIG — shared unrollers
         // must not outlive the frontier pass.

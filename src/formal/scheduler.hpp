@@ -2,16 +2,15 @@
 // checker.
 //
 // Every proof obligation of a design becomes an ObligationJob. A phase
-// discharges its jobs in stages: a cache pass, frame-lockstep batched BMC,
-// k-induction, and — for the jobs still open — one PDR stage at the phase
-// barrier. Jobs are discharged by a pool of worker threads that claim
-// tasks from one shared counter; each worker owns a phase-scoped
-// SolverPool of long-lived fixed-k induction contexts reused across the
-// jobs it discharges — per-job facts live in assumptions or
-// assumption-released clause groups so learnt clauses about the shared
-// transition relation survive between obligations. The bit-blast result — structurally rewritten by
-// aig_rewrite (always, except in the tests that build the unrewritten
-// reference graph) — and the AIGs are shared immutably.
+// discharges its jobs in stages: a cache pass, a frame-lockstep batched BMC
+// probe (counterexamples and covers), and — for the jobs still open — one
+// PDR stage at the phase barrier, which proves. Jobs are discharged by a
+// pool of worker threads that claim tasks from one shared counter; each
+// BMC batch shares one incremental solver, whose per-job facts are
+// level-0 units implied by the constraints. The bit-blast result —
+// structurally rewritten by aig_rewrite (always, except in the tests that
+// build the unrewritten reference graph) — and the AIGs are shared
+// immutably.
 // Each job owns its result slot and run() returns the slots in
 // declaration order, so the final report is deterministic — byte-identical
 // statuses, depths, and ordering — regardless of worker count.
@@ -67,11 +66,10 @@ public:
     [[nodiscard]] const EngineOptions& options() const { return opts_; }
 
 private:
-    /// The cache pass, frame-lockstep batched BMC (one incremental solver
-    /// per worker for its whole job batch), then parallel k-induction on
-    /// per-worker solver pools, for one phase's jobs at cache `stage`.
-    /// Does not store: the caller does, once the phase's PDR stage (if
-    /// any) decided what the job's verdict is.
+    /// The cache pass, then the frame-lockstep batched BMC probe (one
+    /// incremental solver per worker for its whole job batch), for one
+    /// phase's jobs at cache `stage`. Does not store: the caller does, once
+    /// the phase's PDR stage (if any) decided what the job's verdict is.
     void runPhaseBatched(const ProofContext& baseCtx,
                          const std::vector<ObligationJob*>& phaseJobs, cache::Stage stage);
     /// Appends a proven job's invariant to `seeds`: PDR's own when this run
@@ -93,23 +91,19 @@ private:
     void storeJob(const ProofContext& ctx, const ObligationJob& job) const;
     /// The PDR stage over one barrier's still-open jobs (`open`, in
     /// declaration order; a single job per lemma-chain link in phase B):
-    /// one runPdr per job in parallel.
+    /// one runPdr per job in parallel, each under its own watchdog guard
+    /// (inert when no deadline is configured).
     void runPdrStage(const ProofContext& baseCtx, const std::vector<ObligationJob*>& open);
 
-    /// Registers one obligation-sized unit of work with the run's watchdog
-    /// (inert guard when no deadline is configured). The guard's token goes
-    /// into ObligationJob::watchdogStop for strategies to bind.
-    [[nodiscard]] robust::Watchdog::JobGuard guardJob(const ObligationJob& job) const {
-        return watchdog_ ? watchdog_->guardJob(job.index) : robust::Watchdog::JobGuard{};
-    }
     /// End-of-guard bookkeeping: clears the job's token binding and, when
     /// the guard fired and the job stayed Unknown, records the degradation
     /// reason (timeout / run-budget / interrupt) on the result.
     void settleDeadline(ObligationJob& job, const robust::Watchdog::JobGuard& guard) const;
     /// True when the job's verdict may enter the proof cache. Deadline- or
-    /// fault-degraded Unknowns must not: a cached "Unknown" would poison
-    /// warm reruns that have the time to decide the obligation.
-    [[nodiscard]] static bool cacheStorable(const ObligationJob& job);
+    /// fault-degraded Unknowns must not, and neither may any Unknown once
+    /// the run token fired: a cached "Unknown" would poison warm reruns
+    /// that have the time to decide the obligation.
+    [[nodiscard]] bool cacheStorable(const ObligationJob& job) const;
 
     const ir::Design& design_;
     EngineOptions opts_;

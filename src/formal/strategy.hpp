@@ -1,20 +1,17 @@
-// Proof strategies for the obligation scheduler, plus the per-worker
-// incremental solver infrastructure (SolverPool, batched BMC).
+// Proof strategies for the obligation scheduler.
 //
 // Each strategy is one algorithm for discharging a proof obligation and
 // only acts on jobs whose status is still Unknown. All of them are free
-// functions: the scheduler sweeps BMC in batches (runBmcBatch), runs
-// k-induction per job (runInduction), and runs PDR as its barrier stage —
-// one runPdr per open job. Each invocation either builds its own
-// SatSolver / Unroller or reuses its worker's SolverPool context
-// (ProofContext::pool, worker-private so no locking), reading only the
-// immutable structures referenced by the ProofContext and writing only
-// the job. That makes each strategy independently testable and safe to
+// functions: the scheduler probes with BMC in batches (runBmcBatch) and
+// runs PDR as its barrier stage — one runPdr per open job, the only path
+// that proves. Each invocation builds its own SatSolver / Unroller (one
+// per worker batch for the BMC sweep), reading only the immutable
+// structures referenced by the ProofContext and writing only its jobs.
+// That makes each strategy independently testable and safe to
 // parallelize.
 #pragma once
 
 #include <atomic>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -108,90 +105,6 @@ inline void constrainFramesTo(Unroller& un, SatSolver& solver,
     if (frame > lastConstrained) lastConstrained = frame;
 }
 
-/// Encodes the depth-k induction formula: constraints in frames 0..k and
-/// the simple-path lattice (states of frames 0..k pairwise distinct, which
-/// makes induction complete). The ONE encoding shared by the throwaway
-/// reference path and the pooled fixed-k contexts — the tests comparing the
-/// two depend on both building exactly this clause sequence.
-inline void encodeInductionFormula(Unroller& un, SatSolver& solver,
-                                   const std::vector<AigLit>& constraints, int k) {
-    for (int f = 0; f <= k; ++f)
-        for (AigLit c : constraints) solver.addUnit(un.lit(f, c));
-    const auto& latches = un.aig().latches();
-    for (int i = 0; i <= k; ++i) {
-        for (int j = i + 1; j <= k; ++j) {
-            std::vector<SatLit> diff;
-            diff.reserve(latches.size());
-            for (uint32_t lv : latches) {
-                SatLit a = un.lit(i, aigMkLit(lv));
-                SatLit b = un.lit(j, aigMkLit(lv));
-                SatLit d = mkSatLit(solver.newVar());
-                // d <-> a xor b
-                solver.addTernary(satNeg(d), a, b);
-                solver.addTernary(satNeg(d), satNeg(a), satNeg(b));
-                solver.addTernary(d, satNeg(a), b);
-                solver.addTernary(d, a, satNeg(b));
-                diff.push_back(d);
-            }
-            solver.addClause(std::move(diff));
-        }
-    }
-}
-
-/// One worker's long-lived k-induction contexts — one half of the
-/// solver-reuse architecture (the other half is the frame-lockstep batched
-/// BMC, runBmcBatch). There is one fixed-k context per induction depth, so
-/// every obligation this worker proves at depth k shares a single encoding
-/// of the transition relation, the simple-path lattice, and the learnt
-/// clauses about them — the per-obligation part is assumptions only, so
-/// nothing ever needs retracting between jobs.
-///
-/// The pool is strictly worker-private (no locks) and scoped to one
-/// scheduler phase, hence to one AIG and one constraint set: phase
-/// boundaries may change the constraint set or mutate the live AIG, both
-/// of which invalidate the cached encoding.
-class SolverPool {
-public:
-    struct Context {
-        SatSolver solver;
-        Unroller un;
-        uint64_t jobsServed = 0;
-
-        explicit Context(const Aig& aig) : un(aig, solver, Unroller::Init::Free) {}
-    };
-
-    /// The worker's depth-k induction context. The first use builds it and
-    /// encodes the exact formula the throwaway reference path builds per
-    /// obligation per k (encodeInductionFormula), once for every
-    /// obligation this worker proves at this k.
-    Context& induction(const Aig& aig, int k, const std::vector<AigLit>& constraints) {
-        const auto slot = static_cast<size_t>(k);
-        if (contexts_.size() <= slot) contexts_.resize(slot + 1);
-        if (!contexts_[slot]) {
-            contexts_[slot] = std::make_unique<Context>(aig);
-            encodeInductionFormula(contexts_[slot]->un, contexts_[slot]->solver, constraints, k);
-        }
-        return *contexts_[slot];
-    }
-
-    /// Folds every context's encoder cost and reuse count into the shared
-    /// counters — called once by the scheduler when the phase ends (a
-    /// pooled solver's totals must not be re-counted per job).
-    void accumulate(SharedStats& stats) const {
-        for (const auto& ctx : contexts_) {
-            if (!ctx) continue;
-            stats.addEncoder(ctx->solver, ctx->un);
-            stats.conflicts.fetch_add(ctx->solver.conflicts(), std::memory_order_relaxed);
-            stats.propagations.fetch_add(ctx->solver.propagations(), std::memory_order_relaxed);
-            if (ctx->jobsServed > 1)
-                stats.solverReuses.fetch_add(ctx->jobsServed - 1, std::memory_order_relaxed);
-        }
-    }
-
-private:
-    std::vector<std::unique_ptr<Context>> contexts_; ///< Indexed by k.
-};
-
 /// One proof obligation flowing through the scheduler, with its job-local
 /// result slot. Exactly one worker owns a job at any time, so strategies
 /// mutate `result` without synchronization.
@@ -235,10 +148,6 @@ struct ProofContext {
     const EngineOptions& opts;
     AigLit saveOracle = kAigFalse;          ///< l2s save input (live AIG only).
     SharedStats* stats = nullptr;
-    /// This worker's solver pool (the scheduler always sets it); null runs
-    /// k-induction on throwaway solvers, the reference path tests compare
-    /// the pool against.
-    SolverPool* pool = nullptr;
     /// Run-level deadline token (watchdog runToken): fires on --time-budget
     /// expiry or an external stop, never on per-job timeouts. Solvers that
     /// serve many jobs at once (the batched-BMC sweep solver) bind this
@@ -257,11 +166,6 @@ uint64_t bmcFromReset(const ProofContext& ctx, ObligationJob& job, int maxDepth)
 /// bmcFromReset under a `strategy/bmc` span: the batched sweep's lasso
 /// replay and the reference the sweep is tested against.
 void runBmcFresh(const ProofContext& ctx, ObligationJob& job, int maxDepth);
-
-/// k-induction with simple-path constraints: proves shallow invariants up
-/// to opts.maxInductionK. Runs on the worker's per-k pooled contexts when
-/// `ctx.pool` is set, on throwaway solvers (the reference path) otherwise.
-void runInduction(const ProofContext& ctx, ObligationJob& job);
 
 /// Frame-lockstep batched BMC over one worker's job batch: a single
 /// incremental solver queries every still-open job at frame k before any

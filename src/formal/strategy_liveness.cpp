@@ -4,7 +4,7 @@
 // loop but j never occurring. The transform adds a nondeterministic save
 // oracle, shadow copies of all latches (captured at the save point), and
 // loop-closure / seen trackers, turning the lasso search into plain safety
-// reachability that the BMC / k-induction / PDR strategies discharge.
+// reachability that the BMC / PDR strategies discharge.
 #include "formal/strategy.hpp"
 
 namespace autosva::formal {

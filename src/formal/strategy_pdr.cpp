@@ -1,5 +1,5 @@
-// PDR/IC3 strategy: unbounded reachability for everything BMC and
-// k-induction leave open. runPdr is the one path of every PDR search: one
+// PDR/IC3 strategy: unbounded reachability for everything the BMC probe
+// leaves open. runPdr is the one path of every PDR search: one
 // pdrCheck on `job.pdrBad` (which liveness lemma chaining may have
 // strengthened relative to `job.bad`) at opts.pdrMaxQueries, folded into
 // the stats and the trace, then mapped onto the job. When PDR reports a
@@ -53,7 +53,7 @@ void runPdr(const ProofContext& ctx, ObligationJob& job) {
         break;
     case PdrResult::Kind::Cex: {
         // Deep counterexample (beyond the BMC probe): replay it on a fresh
-        // solver, so the trace does not depend on any pooled solver's job
+        // solver, so the trace does not depend on any shared solver's job
         // history; searching upward from k = 0 makes it the shortest one,
         // whatever depth bound PDR reported. The replay span sits beside
         // the search's span, not inside it, so its time is counted once;

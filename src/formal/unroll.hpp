@@ -1,5 +1,5 @@
 // Time-frame expansion of an AIG into a SAT solver (Tseitin encoding with
-// latch aliasing between frames). Shared by BMC, k-induction, and PDR.
+// latch aliasing between frames). Shared by BMC and PDR.
 // Cones are encoded lazily, the first time lit() asks for a literal, and
 // the solver keeps every encoded variable, so any literal handed out stays
 // valid for assumptions, later clauses and model reads — up to a solver
@@ -19,7 +19,7 @@ class Unroller {
 public:
     enum class Init {
         Reset, ///< Frame-0 latches take their defined initial values.
-        Free,  ///< Frame-0 latches unconstrained (induction / PDR states).
+        Free,  ///< Frame-0 latches unconstrained (PDR states).
     };
 
     Unroller(const Aig& aig, SatSolver& solver, Init init)
@@ -45,7 +45,6 @@ public:
         return aigSign(l) ? satNeg(base) : base;
     }
 
-    [[nodiscard]] const Aig& aig() const { return aig_; }
     [[nodiscard]] int numFrames() const { return static_cast<int>(map_.size()); }
     /// Root cones that actually had to be encoded (lit() cache misses) —
     /// on a shared Unroller this stops growing once the cone is warm, which

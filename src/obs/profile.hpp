@@ -39,7 +39,7 @@ struct ObligationProfile {
     uint64_t drops = 0;
     uint64_t seeds = 0;
     bool cacheHit = false;
-    /// Per-stage breakdown in first-seen order (bmc, induction, pdr, ...).
+    /// Per-stage breakdown in first-seen order (bmc, pdr, ...).
     std::vector<std::pair<std::string, StageCost>> stages;
 };
 

@@ -1,6 +1,6 @@
 // Structured tracing layer: the span/event recorder the engine threads
 // through every layer that already has counters (scheduler phases and
-// lemma-chain links, the BMC, induction and PDR stages, the cex replay,
+// lemma-chain links, the BMC and PDR stages, the cex replay,
 // cache lookups and deadline firings), plus the exporters that turn one
 // run's events into a Chrome trace-event JSON (Perfetto /
 // chrome://tracing), a JSONL event log, and the `autosva profile` summary

@@ -31,7 +31,7 @@ Watchdog::~Watchdog() {
     thread_.join();
 }
 
-Watchdog::JobGuard Watchdog::guardJob(size_t jobIndex) {
+Watchdog::JobGuard Watchdog::guardJob() {
     std::lock_guard<std::mutex> lock(mu_);
     Slot* slot;
     if (!freeSlots_.empty()) {
@@ -40,14 +40,9 @@ Watchdog::JobGuard Watchdog::guardJob(size_t jobIndex) {
     } else {
         slot = &slots_.emplace_back();
     }
-    slot->jobIndex = jobIndex;
     slot->cause.store(0);
     slot->token.store(false);
-    // Cumulative per-job clock: resume with the time this job already
-    // spent in earlier pipeline stages.
-    const auto it = accumulatedNs_.find(jobIndex);
-    const int64_t spentNs = it == accumulatedNs_.end() ? 0 : it->second;
-    slot->start = Clock::now() - std::chrono::nanoseconds(spentNs);
+    slot->start = Clock::now();
     slot->active = true;
     // Work registered after the run already expired starts pre-fired, so
     // the remaining jobs drain as immediate Interrupted results.
@@ -64,11 +59,6 @@ void Watchdog::JobGuard::release() {
 void Watchdog::releaseSlot(Slot* slot) {
     std::lock_guard<std::mutex> lock(mu_);
     slot->active = false;
-    // slot->start already carries earlier stages' time subtracted out, so
-    // now-start is the job's total spent time.
-    accumulatedNs_[slot->jobIndex] =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - slot->start)
-            .count();
     freeSlots_.push_back(slot);
 }
 

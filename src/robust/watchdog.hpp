@@ -14,10 +14,10 @@
 //    and every job guard acquired afterwards starts pre-fired — remaining
 //    work drains as immediate Interrupted results, so the report still
 //    covers every obligation.
-//  - The per-obligation clock is *cumulative across stages*: a job that
-//    spent 3s in k-induction starts its PDR stage's guard with 3s
-//    already on the clock. Batched-BMC sweeps are excluded (one solver
-//    serves many jobs in lockstep, so per-job wall attribution would
+//  - The per-obligation clock starts when its guard is acquired. The
+//    scheduler guards only an obligation's PDR stage, so that is what the
+//    deadline bounds. Batched-BMC sweeps are excluded (one solver serves
+//    many jobs in lockstep, so per-job wall attribution would
 //    overcharge); they are bounded by the run budget via runToken().
 //
 // Cause attribution: each fired token records why it fired (job timeout
@@ -35,7 +35,6 @@
 #include <deque>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 namespace autosva::robust {
@@ -65,7 +64,6 @@ private:
         std::atomic<bool> token{false};
         std::atomic<uint8_t> cause{0};
         Clock::time_point start{};
-        size_t jobIndex = 0;
         bool active = false;
     };
 
@@ -118,9 +116,8 @@ public:
     };
 
     /// Registers one obligation-sized unit of work under the per-job
-    /// deadline. `jobIndex` keys the cumulative clock: guards for the
-    /// same index share one time budget across pipeline stages.
-    [[nodiscard]] JobGuard guardJob(size_t jobIndex);
+    /// deadline, whose clock starts now.
+    [[nodiscard]] JobGuard guardJob();
 
     /// The run-level token: fires on run-budget expiry or external stop
     /// (never on per-job timeouts). Bind into solvers that serve many
@@ -148,7 +145,6 @@ private:
     bool shutdown_ = false;
     std::deque<Slot> slots_; ///< Stable addresses; never destroyed.
     std::vector<Slot*> freeSlots_;
-    std::unordered_map<size_t, int64_t> accumulatedNs_; ///< Per-job spent time.
     std::thread thread_;
 };
 

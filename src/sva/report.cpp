@@ -146,9 +146,9 @@ std::string VerificationReport::canonical() const {
         out += '|';
         // Depth is semantic only for trace-bearing verdicts (shortest CEX /
         // cover witness length). For proofs and Unknowns it is engine
-        // provenance — the k-induction depth or PDR convergence frame moves
-        // with the graph representation (the AIG rewrite legitimately
-        // converges at a different frame) and the bound that ran out — so
+        // provenance — the PDR convergence frame moves with the graph
+        // representation (the AIG rewrite legitimately converges at a
+        // different frame) and the bound that ran out — so
         // it stays out of the canonical string, which must be
         // byte-identical across {rewrite on/off} x {jobs} x perturbations.
         const bool semanticDepth =

@@ -67,8 +67,8 @@ struct VerificationReport {
     /// reproduce byte-for-byte (name, kind, status, trace-bearing depths,
     /// trace shape, in declaration order) and nothing it legitimately may
     /// vary (wall-clock times, engine-vs-cache provenance, proof depths —
-    /// which are induction-k / PDR-convergence-frame engine artifacts that
-    /// move with the graph representation). A warm-cache rerun, a
+    /// which are PDR convergence frames, engine artifacts that move with
+    /// the graph representation). A warm-cache rerun, a
     /// different worker count, the AIG rewrite toggled either way, and any
     /// perturbation seed all yield the identical string for the same
     /// design.

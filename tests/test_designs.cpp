@@ -215,10 +215,10 @@ TEST(Trajectory, DefaultSearchCountersPinned) {
         uint64_t satCalls, frames, cubes, drops, seeds, lifted, pdrConflicts;
     };
     const Pin pins[] = {
-        {"ariane_lsu", 0, 17946, 25, 838, 10404, 227, 2699, 9585},
-        {"noc_buffer", 0, 21954, 16, 929, 13428, 31, 2690, 13028},
-        {"ariane_lsu", 1, 8772, 39, 523, 2344, 21, 2432, 4903},
-        {"mem_engine", 1, 478, 9, 33, 137, 0, 25, 133},
+        {"ariane_lsu", 0, 17930, 25, 838, 10404, 227, 2699, 9585},
+        {"noc_buffer", 0, 23713, 23, 967, 13666, 275, 2690, 14515},
+        {"ariane_lsu", 1, 8760, 39, 523, 2344, 21, 2432, 4903},
+        {"mem_engine", 1, 474, 9, 33, 137, 0, 25, 133},
     };
     for (const Pin& pin : pins) {
         SCOPED_TRACE(std::string(pin.design) + " BUG=" + std::to_string(pin.bug));

@@ -1,6 +1,6 @@
 // Model-checking engine tests on hand-written designs: BMC depth accuracy,
-// k-induction and PDR proofs, liveness-to-safety with fairness, covers,
-// constraint handling, and trace replay.
+// PDR proofs, liveness-to-safety with fairness, covers, constraint
+// handling, and trace replay.
 #include <gtest/gtest.h>
 
 #include "formal/engine.hpp"
@@ -87,9 +87,7 @@ module m (input wire clk_i, input wire rst_ni, input wire en);
   as__equal: assert property (a == b);
 endmodule)",
                   "m");
-    EngineOptions opts;
-    opts.maxInductionK = 0; // Force the PDR path.
-    Engine engine(*d, opts);
+    Engine engine(*d);
     auto results = engine.checkAll();
     EXPECT_EQ(findResult(results, "as__equal").status, Status::Proven);
 }

@@ -5,6 +5,7 @@
 // --stats-json run manifest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstring>
 #include <sstream>
@@ -193,10 +194,11 @@ sva::VerificationReport runDesign(const std::string& name, int jobs, obs::Record
 
 /// The tentpole contract, gated per design: canonical() is byte-identical
 /// across {trace off, trace on} x {jobs 1, jobs 4}, the trace is
-/// structurally well-formed, both exports are valid JSON, and the
-/// profiler's attributed queries reconcile exactly with
-/// EngineStats::satCalls of the same run. Returns the untraced jobs=1
-/// run's counters.
+/// structurally well-formed, both exports are valid JSON, the profiler's
+/// attributed queries reconcile exactly with EngineStats::satCalls of the
+/// same run, and every proof is a PDR proof: each Proven or Unreachable
+/// row has a `pdr` stage in the profile. Returns the untraced jobs=1 run's
+/// counters.
 formal::EngineStats checkTraceInertness(const std::string& design) {
     const sva::VerificationReport base = runDesign(design, 1, nullptr);
     const std::string baseline = base.canonical();
@@ -238,6 +240,19 @@ formal::EngineStats checkTraceInertness(const std::string& design) {
             << design << " jobs=" << jobs;
         EXPECT_FALSE(profile.obligations.empty());
         EXPECT_FALSE(profile.phases.empty());
+        for (const formal::PropertyResult& r : report.results) {
+            if (r.status != formal::Status::Proven && r.status != formal::Status::Unreachable)
+                continue;
+            const auto ob = std::find_if(profile.obligations.begin(), profile.obligations.end(),
+                                         [&](const obs::ObligationProfile& o) {
+                                             return o.name == r.name;
+                                         });
+            const bool byPdr =
+                ob != profile.obligations.end() &&
+                std::any_of(ob->stages.begin(), ob->stages.end(),
+                            [](const auto& st) { return st.first == "pdr"; });
+            EXPECT_TRUE(byPdr) << design << " " << r.name << " jobs=" << jobs;
+        }
         const std::string rendered = obs::renderProfile(profile, report);
         EXPECT_NE(rendered.find("reconciled"), std::string::npos) << rendered;
     }
@@ -245,6 +260,10 @@ formal::EngineStats checkTraceInertness(const std::string& design) {
 }
 
 TEST(ObsInertness, MemEngine) { checkTraceInertness("mem_engine"); }
+
+// ariane_tlb's shallow safety invariants and its hsk_or_drop liveness
+// property close within a few frames; each must still be a PDR proof.
+TEST(ObsInertness, ArianeTlb) { checkTraceInertness("ariane_tlb"); }
 
 // noc_buffer's lemma chain admits seeds, so the reconciliation also covers
 // the seed-admission solves PDR counts beside its own queries.

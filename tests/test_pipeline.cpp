@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/autosva.hpp"
+#include "designs/designs.hpp"
+#include "verilog/parser.hpp"
 
 namespace {
 
@@ -139,6 +141,26 @@ TEST(Pipeline, FindsBugInBrokenEcho) {
     // Short trace, as the paper reports for real bugs.
     EXPECT_LE(failure->depth, 10);
     EXPECT_FALSE(failure->trace.inputs.empty());
+}
+
+// Typed-AST pipeline contract on every registry design: elaborating a
+// generated testbench parses each RTL source exactly once and never
+// re-parses the generated property or bind text.
+TEST(Pipeline, ElaborationNeverReparsesGeneratedText) {
+    for (const auto& info : designs::allDesigns()) {
+        SCOPED_TRACE(info.name);
+        util::DiagEngine diags;
+        core::AutoSvaOptions genOpts;
+        genOpts.sourcePath = info.name + ".sv";
+        core::FormalTestbench ft = core::generateFT(info.rtl, genOpts, diags);
+        const std::vector<std::string> sources = designs::rtlSources(info);
+        core::VerifyOptions vopts;
+        vopts.sourcePaths = designs::rtlSourceNames(info);
+        const uint64_t parses0 = verilog::Parser::sourceParseCount();
+        auto design = core::elaborateWithFT(sources, ft, vopts, diags);
+        ASSERT_NE(design, nullptr);
+        EXPECT_EQ(verilog::Parser::sourceParseCount() - parses0, sources.size());
+    }
 }
 
 } // namespace

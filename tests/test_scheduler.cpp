@@ -74,29 +74,6 @@ endmodule)",
     EXPECT_EQ(job.result.trace.length(), 6);
 }
 
-TEST(Strategy, InductionAloneProvesInvariant) {
-    auto d = elab(R"(
-module m (input wire clk_i, input wire rst_ni);
-  reg [2:0] q;
-  always_ff @(posedge clk_i or negedge rst_ni) begin
-    if (!rst_ni) q <= 3'b001;
-    else q <= {q[1:0], q[2]};
-  end
-  as__onehot: assert property ($onehot(q));
-endmodule)",
-                  "m");
-    formal::BitBlast bb = formal::bitblast(*d);
-    EngineOptions opts;
-    std::vector<formal::AigLit> noConstraints;
-    ProofContext ctx{*d, bb, bb.aig, noConstraints, opts, formal::kAigFalse, nullptr};
-    ObligationJob job;
-    job.ob = &d->obligations()[0];
-    job.bad = bb.lit(job.ob->net);
-    job.pdrBad = job.bad;
-    formal::runInduction(ctx, job);
-    EXPECT_EQ(job.result.status, Status::Proven);
-}
-
 TEST(Strategy, PdrAloneProvesDeepInvariant) {
     auto d = elab(R"(
 module m (input wire clk_i, input wire rst_ni, input wire en);

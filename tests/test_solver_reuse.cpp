@@ -1,9 +1,9 @@
 // Solver-reuse and AIG-rewrite tests: the determinism contract of the
-// per-worker incremental solver architecture (batched BMC + pooled
-// induction contexts must produce the same verdicts, depths, and canonical
-// reports as throwaway solvers, for any worker count), Unroller::peek
-// across frames, assumption-released clause groups, and the structural
-// rewrite pass (soundness, determinism, fingerprint stability).
+// per-worker incremental solver architecture (the batched BMC sweep must
+// produce the same verdicts, depths, and canonical reports as throwaway
+// solvers, for any worker count), Unroller::peek across frames,
+// assumption-released clause groups, and the structural rewrite pass
+// (soundness, determinism, fingerprint stability).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -29,7 +29,6 @@ using formal::ProofContext;
 using formal::SatLit;
 using formal::SatResult;
 using formal::SatSolver;
-using formal::SolverPool;
 using formal::Status;
 using formal::aigNot;
 using formal::aigMkLit;
@@ -185,50 +184,6 @@ TEST(SolverReuse, BatchedBmcMatchesFreshSolvers) {
     EXPECT_EQ(batched[1].result.trace.length(), 6);
 }
 
-TEST(SolverReuse, PooledInductionMatchesFreshSolvers) {
-    auto d = elab(R"(
-module m (input wire clk_i, input wire rst_ni);
-  reg [2:0] oh;
-  reg [2:0] oh2;
-  always_ff @(posedge clk_i or negedge rst_ni) begin
-    if (!rst_ni) begin
-      oh <= 3'b001;
-      oh2 <= 3'b010;
-    end else begin
-      oh <= {oh[1:0], oh[2]};
-      oh2 <= {oh2[1:0], oh2[2]};
-    end
-  end
-  as__onehot: assert property ($onehot(oh));
-  as__onehot2: assert property ($onehot(oh2));
-endmodule)",
-                  "m");
-    formal::BitBlast bb = formal::bitblast(*d, /*rewrite=*/true);
-    EngineOptions opts;
-    std::vector<formal::AigLit> noConstraints;
-    auto makeJob = [&](size_t i) {
-        ObligationJob job;
-        job.ob = &d->obligations()[i];
-        job.bad = bb.lit(job.ob->net);
-        job.pdrBad = job.bad;
-        return job;
-    };
-    ProofContext freshCtx{*d, bb, bb.aig, noConstraints, opts, formal::kAigFalse, nullptr};
-    SolverPool pool;
-    ProofContext pooledCtx = freshCtx;
-    pooledCtx.pool = &pool;
-
-    for (size_t i = 0; i < d->obligations().size(); ++i) {
-        ObligationJob fresh = makeJob(i);
-        formal::runInduction(freshCtx, fresh);
-        ObligationJob pooled = makeJob(i);
-        formal::runInduction(pooledCtx, pooled);
-        EXPECT_EQ(fresh.result.status, pooled.result.status) << i;
-        EXPECT_EQ(fresh.result.depth, pooled.result.depth) << i;
-        EXPECT_EQ(fresh.result.status, Status::Proven) << i;
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Whole-scheduler determinism across worker counts
 // ---------------------------------------------------------------------------
@@ -270,7 +225,7 @@ TEST(SolverReuse, CanonicalIdenticalAcrossReuseAndJobs) {
     uint64_t reuses = 0;
     std::string reference = run(1, &reuses);
     EXPECT_NE(reference.find("as__never9"), std::string::npos);
-    // The pooled contexts and the batched sweep really were shared.
+    // The batched sweep's solver really was shared.
     EXPECT_GT(reuses, 0u);
     for (int jobs : {1, 4}) EXPECT_EQ(run(jobs, &reuses), reference) << "jobs=" << jobs;
 }

@@ -98,10 +98,11 @@ options:
                    report covering every obligation. Verdicts present are
                    sound, but a deadline run forfeits the byte-identical
                    canonical-report contract.
-  --obligation-timeout S  per-obligation wall-clock deadline, cumulative
-                   across that obligation's pipeline stages; an expired
-                   obligation degrades to unknown(timeout) while the rest
-                   of the run proceeds normally. SIGINT/SIGTERM stop the
+  --obligation-timeout S  per-obligation wall-clock deadline on the
+                   obligation's PDR stage; an expired obligation degrades
+                   to unknown(timeout) while the rest of the run proceeds
+                   normally. BMC sweeps serve many obligations at once and
+                   answer to --time-budget instead. SIGINT/SIGTERM stop the
                    run the same orderly way (partial report, artifacts
                    flushed, exit 130); a second signal exits immediately.
   --fault-inject SPEC  deterministic fault injection for robustness
