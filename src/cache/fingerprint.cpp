@@ -56,8 +56,10 @@ uint64_t optionsDigest(const formal::EngineOptions& opts, Stage stage, bool cove
     // cubes by ternary simulation and searches up to 120 frames, which
     // moves budget-bound searches and the invariants proofs record. v9:
     // k-induction left the pipeline, so a Frontier record is a BMC-probe
-    // verdict and every proof comes from PDR.
-    constexpr uint64_t kFormatVersion = 9;
+    // verdict and every proof comes from PDR. v10: PDR keeps each cube at
+    // one frame and generalizes from the cores it already has, so searches
+    // end differently and a stored budget-bound Unknown may now be proven.
+    constexpr uint64_t kFormatVersion = 10;
     Mix128 h;
     h.mix(kFormatVersion);
     h.mix(static_cast<uint64_t>(stage));

@@ -1,6 +1,7 @@
 #include "formal/pdr.hpp"
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <random>
 
@@ -94,10 +95,9 @@ struct PdrSearch {
     AigLit bad;
     const std::vector<AigLit>& constraints;
     const PdrOptions& opts;
-    uint64_t queries = 0; ///< The search's own queries: what opts.maxQueries bounds.
-    /// Seed-admission solves and the level-0 check: outside the budget,
-    /// inside PdrResult::queries.
-    uint64_t sideSolves = 0;
+    /// The search's own queries: what opts.maxQueries bounds. The side
+    /// solves (stats.sideSolves) run outside it.
+    uint64_t queries = 0;
     /// A SAT query answered Interrupted. Sticky: whatever raised it (a
     /// cancellation token, or an injected spurious Interrupted with no
     /// token at all — see robust/faultinject.hpp), the search must unwind
@@ -110,6 +110,10 @@ struct PdrSearch {
 
     std::vector<std::unique_ptr<FrameSolver>> solvers; // Index = frame.
     std::vector<std::vector<Cube>> frames;             // Learned cubes per frame.
+    /// The one frame each learned cube sits at: frames[] holds every cube
+    /// once, so propagation pushes it once per iteration, and solver i
+    /// holds the clause of each cube at frames >= i exactly once.
+    std::map<Cube, size_t> cubeFrame;
     std::vector<Cube> invariantCubes; // Validated seeds: hold at every frame.
 
     PdrSearch(const Aig& a, AigLit b, const std::vector<AigLit>& cons, const PdrOptions& o)
@@ -180,12 +184,24 @@ struct PdrSearch {
         fs.solver->addClause(std::move(clause));
     }
 
-    /// Blocks `cube` at all frames 0..frameIdx.
+    /// Blocks canonical `cube` at all frames 0..frameIdx. A cube a frame
+    /// >= frameIdx already holds is left where it is; one held lower moves
+    /// up, and only the solvers between the two frames get its clause.
     void addBlockedCube(size_t frameIdx, const Cube& cube) {
+        auto [it, isNew] = cubeFrame.try_emplace(cube, frameIdx);
+        size_t firstSolver = 0;
+        if (!isNew) {
+            const size_t held = it->second;
+            if (held >= frameIdx) return;
+            auto& lower = frames[held];
+            lower.erase(std::find(lower.begin(), lower.end(), cube));
+            it->second = frameIdx;
+            firstSolver = held + 1;
+        }
         ensureFrameStorage(frameIdx);
         frames[frameIdx].push_back(cube);
         ++stats.cubesBlocked;
-        for (size_t i = 0; i <= frameIdx && i < solvers.size(); ++i)
+        for (size_t i = firstSolver; i <= frameIdx && i < solvers.size(); ++i)
             addBlockedClauseToSolver(i, cube);
     }
 
@@ -242,9 +258,11 @@ struct PdrSearch {
     /// whose primed assumptions appear in the unsat core. `cube` must be
     /// canonical — assumptions follow its literal order, so canonical input
     /// keeps the query byte-identical however the cube was first assembled.
-    bool consecution(size_t frameIdx, const Cube& cube, Cube* predecessor,
+    /// `kind` is the PdrStats counter of what the caller asks.
+    bool consecution(uint64_t& kind, size_t frameIdx, const Cube& cube, Cube* predecessor,
                      Cube* coreCube = nullptr) {
         ++queries;
+        ++kind;
         FrameSolver& fs = frameSolver(frameIdx);
         std::vector<SatLit> assumptions;
         // not(cube) in a single-query clause group (released below).
@@ -305,6 +323,7 @@ struct PdrSearch {
     /// model lifted to `bad` and the constraints (liftModel).
     bool badState(size_t frameIdx, Cube* state) {
         ++queries;
+        ++stats.badQueries;
         FrameSolver& fs = frameSolver(frameIdx);
         SatLit b = fs.now(bad);
         SatResult r = fs.solver->solve({b});
@@ -390,7 +409,7 @@ struct PdrSearch {
                 if (!alive[i]) continue;
                 if (seedQueries >= seedBudget) return; // Unvalidated: use none.
                 ++seedQueries;
-                ++sideSolves;
+                ++stats.sideSolves;
                 std::vector<SatLit> assumptions;
                 for (size_t j = 0; j < cand.size(); ++j)
                     if (alive[j]) assumptions.push_back(act[j]);
@@ -434,28 +453,29 @@ struct PdrSearch {
     /// Shrinks a blocked cube: first via unsat cores (cheap, large steps),
     /// then a fixed-point literal-drop sweep on the remainder, always
     /// keeping the cube inductive relative to F_{frameIdx} and disjoint
-    /// from Init.
+    /// from Init. `core` is the unsat core of the query that found `cube`
+    /// inductive, so no query is asked twice.
     ///
-    /// Ordering-insensitive by construction: the cube is canonicalized at
-    /// entry and each sweep attempts drops in canonical literal order,
-    /// repeating until a full sweep removes nothing. The result is a
-    /// function of the literal *set* and the frame state — never of the
-    /// order the caller assembled the cube in. That is the hardening that
-    /// lets simplify() run and the AIG rewrite default ON without
-    /// budget-edge proofs flipping (see ROADMAP "Engine architecture").
-    Cube generalize(size_t frameIdx, Cube cube) {
-        cube = canonicalize(std::move(cube));
-        // Core-based shrinking: the caller guarantees `cube` is inductive.
-        // A core-shrunk cube is a candidate only — weakening not(cube) can
-        // break inductiveness — so validate before adopting (fixpoint in
-        // practice after 1-2 rounds).
+    /// Ordering-insensitive by construction: the cube and its core come
+    /// from a canonical query and each sweep attempts drops in canonical
+    /// literal order, repeating until a full sweep removes nothing. The
+    /// result is a function of the literal *set* and the frame state —
+    /// never of the order the caller assembled the cube in. That is the
+    /// hardening that lets simplify() run and the AIG rewrite default ON
+    /// without budget-edge proofs flipping (see ROADMAP "Engine
+    /// architecture").
+    Cube generalize(size_t frameIdx, Cube cube, Cube core) {
+        // Core-based shrinking. A core-shrunk cube is a candidate only —
+        // weakening not(cube) can break inductiveness — so validate before
+        // adopting; the validation's own core is the next candidate
+        // (fixpoint in practice after 1-2 rounds).
         for (int round = 0; round < 4; ++round) {
-            Cube shrunk;
-            if (!consecution(frameIdx, cube, nullptr, &shrunk)) break;
-            if (shrunk.size() >= cube.size()) break;
-            if (intersectsInit(shrunk)) break;
-            if (!consecution(frameIdx, shrunk, nullptr)) break; // Not inductive: keep cube.
-            cube = std::move(shrunk);
+            if (core.size() >= cube.size()) break;
+            if (intersectsInit(core)) break;
+            Cube nextCore;
+            if (!consecution(stats.validateQueries, frameIdx, core, nullptr, &nextCore))
+                break; // Not inductive: keep cube.
+            cube = std::exchange(core, std::move(nextCore));
         }
         // Literal dropping on the (now small) cube: sweep the literals in
         // canonical order; on narrow cubes, repeat until a sweep drops
@@ -479,7 +499,8 @@ struct PdrSearch {
                 Cube candidate = cube;
                 candidate.erase(candidate.begin() + (it - cube.begin()));
                 ++stats.genDropAttempts;
-                if (!intersectsInit(candidate) && consecution(frameIdx, candidate, nullptr)) {
+                if (!intersectsInit(candidate) &&
+                    consecution(stats.dropQueries, frameIdx, candidate, nullptr)) {
                     cube = std::move(candidate);
                     changed = true;
                 }
@@ -517,7 +538,7 @@ struct PdrSearch {
             Unroller u0(aig, s0, Unroller::Init::Reset);
             std::vector<SatLit> assumptions{u0.lit(0, bad)};
             for (AigLit c : constraints) s0.addUnit(u0.lit(0, c));
-            ++sideSolves;
+            ++stats.sideSolves;
             SatResult r0 = s0.solve(assumptions);
             if (r0 == SatResult::Interrupted) return interruptedResult();
             if (r0 == SatResult::Sat) {
@@ -573,9 +594,10 @@ struct PdrSearch {
                         result.depth = ob.depth + static_cast<int>(ob.frame);
                         return result;
                     }
-                    Cube predecessor;
-                    if (consecution(ob.frame - 1, ob.cube, &predecessor)) {
-                        Cube generalized = generalize(ob.frame - 1, ob.cube);
+                    Cube predecessor, core;
+                    if (consecution(stats.blockQueries, ob.frame - 1, ob.cube, &predecessor,
+                                    &core)) {
+                        Cube generalized = generalize(ob.frame - 1, ob.cube, std::move(core));
                         addBlockedCube(ob.frame, generalized);
                         obligations.pop_back();
                     } else {
@@ -595,9 +617,10 @@ struct PdrSearch {
             for (size_t i = 1; i < k; ++i) {
                 auto& cubes = frames[i];
                 for (size_t ci = 0; ci < cubes.size();) {
-                    if (consecution(i, cubes[ci], nullptr)) {
+                    if (consecution(stats.pushQueries, i, cubes[ci], nullptr)) {
                         Cube moved = std::move(cubes[ci]);
                         cubes.erase(cubes.begin() + static_cast<long>(ci));
+                        cubeFrame[moved] = i + 1;
                         frames[i + 1].push_back(moved);
                         if (i + 1 < solvers.size()) addBlockedClauseToSolver(i + 1, moved);
                         continue;
@@ -629,7 +652,7 @@ PdrResult pdrCheck(const Aig& aig, AigLit bad, const std::vector<AigLit>& constr
         search.stats.conflicts += fs->solver->conflicts();
         search.stats.propagations += fs->solver->propagations();
     }
-    result.queries = search.queries + search.sideSolves;
+    result.queries = search.queries + search.stats.sideSolves;
     result.stats = search.stats;
     return result;
 }

@@ -13,7 +13,12 @@
 // SatSolver::simplify() and garbage collection to retire them, so a frame
 // solver's memory follows its live clauses), canonical ordering-insensitive
 // cube generalization, and re-validated seed invariants admitted before
-// the first frame opens. Every SAT answer that becomes a proof obligation
+// the first frame opens. The search asks each question once: the frames
+// hold each blocked cube once, at the highest frame it was blocked or
+// pushed to, so propagation pushes no copies and each frame solver gets
+// each clause once; and generalization starts from the unsat core of the
+// query that blocked the cube, each validation's core being the next
+// candidate. Every SAT answer that becomes a proof obligation
 // (a predecessor, a bad state) is lifted by ternary simulation to the
 // latches that keep its cone determined (formal/ternary_sim.hpp), and the
 // model is read only from latches the frame solver already encodes, so a
@@ -39,8 +44,8 @@ using PdrCube = std::vector<std::pair<uint32_t, bool>>;
 struct PdrOptions {
     /// Frames before a search gives up as Unknown. A search reaches its
     /// inductive frame well after opening it: in ariane_icache BUG=1 two
-    /// safety searches end with frame 32 inductive, but only at k = 59
-    /// and 62, so a bound of 60 leaves the second Unknown.
+    /// safety searches end with frame 32 inductive, but only at k = 59,
+    /// and the bound keeps twice that headroom.
     int maxFrames = 120;
     uint64_t maxQueries = 200000; ///< Safety valve on the search's own SAT queries.
     /// Candidate invariant cubes from earlier proofs (the proof cache, the
@@ -69,7 +74,7 @@ struct PdrOptions {
 /// EngineStats and the CLI --stats output).
 struct PdrStats {
     uint64_t framesOpened = 0;       ///< Frame solvers constructed.
-    uint64_t cubesBlocked = 0;       ///< Generalized cubes added to frames.
+    uint64_t cubesBlocked = 0;       ///< Generalized cubes added to, or moved up, the frames.
     uint64_t genDropAttempts = 0;    ///< Literal-drop consecution probes.
     uint64_t seedCubesAdmitted = 0;  ///< Seed cubes surviving re-validation.
     /// Latch literals ternary-simulation lifting removed from the model
@@ -79,6 +84,14 @@ struct PdrStats {
     /// check, seed admission).
     uint64_t conflicts = 0;
     uint64_t propagations = 0;
+    /// Every solve of the search by kind; the six sum to PdrResult::queries.
+    /// The first five are the search's own queries (what maxQueries bounds).
+    uint64_t badQueries = 0;      ///< Is a bad state left in the frame?
+    uint64_t blockQueries = 0;    ///< Obligation consecution: block, or a predecessor.
+    uint64_t validateQueries = 0; ///< Is a core-shrunk cube still inductive?
+    uint64_t dropQueries = 0;     ///< Literal-drop probes that reached the solver.
+    uint64_t pushQueries = 0;     ///< Propagation: does a cube hold one frame up?
+    uint64_t sideSolves = 0;      ///< Seed admission and the level-0 check.
 };
 
 struct PdrResult {

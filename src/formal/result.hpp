@@ -88,8 +88,10 @@ struct EngineOptions {
     /// 8 adds sweeps over properties PDR proves anyway (the seven cold
     /// Table III designs take 3.7 / 4.3 / 5.0 s at 8 / 10 / 12, ~14 s at
     /// 25). Trade-off: a counterexample deeper than 8 that PDR cannot reach
-    /// within pdrMaxQueries is now Unknown; 25 restores the old search.
-    /// In the cache options digest.
+    /// within pdrMaxQueries is Unknown. A deeper probe finds only those,
+    /// and its sweep cost grows steeply with depth: l15_noc_wrapper takes
+    /// 0.07 s at 8, 0.3 s at 12, 7.6 s at 16 (491, 8,151 and 149,067
+    /// conflicts) and minutes at 25. In the cache options digest.
     int bmcDepth = 8;
     /// PDR SAT-query budget per property: one search per obligation, never
     /// extended. Seed admission and the level-0 check run outside it.
@@ -165,7 +167,7 @@ struct EngineStats {
     /// PDR observability (aggregated over every pdrCheck of the run; the
     /// --stats "pdr:" line and the bench --json rows carry them).
     uint64_t pdrFramesOpened = 0;      ///< Frame solvers constructed.
-    uint64_t pdrCubesBlocked = 0;      ///< Generalized cubes added to frames.
+    uint64_t pdrCubesBlocked = 0;      ///< Generalized cubes added to, or moved up, the frames.
     uint64_t pdrGenDropAttempts = 0;   ///< Literal-drop consecution probes.
     /// Always 0: PDR no longer retries a budget-edge search. Kept only
     /// because the benchmark harness (perfbench/harness.cpp) still reads it.
@@ -177,6 +179,14 @@ struct EngineStats {
     /// strategy-layer solvers (BMC, cex replay).
     uint64_t pdrConflicts = 0;
     uint64_t pdrPropagations = 0;
+    /// PDR's solves by kind (PdrStats); the six sum to the PDR share of
+    /// `satCalls` before counterexample replays.
+    uint64_t pdrBadQueries = 0;
+    uint64_t pdrBlockQueries = 0;
+    uint64_t pdrValidateQueries = 0;
+    uint64_t pdrDropQueries = 0;
+    uint64_t pdrPushQueries = 0;
+    uint64_t pdrSideSolves = 0;
     /// Always 0: the SAT solvers no longer eliminate variables. Kept only
     /// because the benchmark harness (perfbench/harness.cpp) still reads it.
     uint64_t satPreVarsEliminated = 0;

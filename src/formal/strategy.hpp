@@ -42,6 +42,12 @@ struct SharedStats {
     std::atomic<uint64_t> pdrLiftedLiterals{0};
     std::atomic<uint64_t> pdrConflicts{0};
     std::atomic<uint64_t> pdrPropagations{0};
+    std::atomic<uint64_t> pdrBadQueries{0};
+    std::atomic<uint64_t> pdrBlockQueries{0};
+    std::atomic<uint64_t> pdrValidateQueries{0};
+    std::atomic<uint64_t> pdrDropQueries{0};
+    std::atomic<uint64_t> pdrPushQueries{0};
+    std::atomic<uint64_t> pdrSideSolves{0};
     std::atomic<uint64_t> hygieneClausesDropped{0};
     std::atomic<uint64_t> solverLiveClauses{0};
     std::atomic<uint64_t> solverLearntClauses{0};
@@ -55,6 +61,12 @@ struct SharedStats {
         pdrLiftedLiterals.fetch_add(pdr.liftedLiterals, std::memory_order_relaxed);
         pdrConflicts.fetch_add(pdr.conflicts, std::memory_order_relaxed);
         pdrPropagations.fetch_add(pdr.propagations, std::memory_order_relaxed);
+        pdrBadQueries.fetch_add(pdr.badQueries, std::memory_order_relaxed);
+        pdrBlockQueries.fetch_add(pdr.blockQueries, std::memory_order_relaxed);
+        pdrValidateQueries.fetch_add(pdr.validateQueries, std::memory_order_relaxed);
+        pdrDropQueries.fetch_add(pdr.dropQueries, std::memory_order_relaxed);
+        pdrPushQueries.fetch_add(pdr.pushQueries, std::memory_order_relaxed);
+        pdrSideSolves.fetch_add(pdr.sideSolves, std::memory_order_relaxed);
     }
 
     /// Folds one strategy-layer solver's encoder cost, clause-hygiene
@@ -85,6 +97,12 @@ struct SharedStats {
         s.pdrLiftedLiterals = pdrLiftedLiterals.load(std::memory_order_relaxed);
         s.pdrConflicts = pdrConflicts.load(std::memory_order_relaxed);
         s.pdrPropagations = pdrPropagations.load(std::memory_order_relaxed);
+        s.pdrBadQueries = pdrBadQueries.load(std::memory_order_relaxed);
+        s.pdrBlockQueries = pdrBlockQueries.load(std::memory_order_relaxed);
+        s.pdrValidateQueries = pdrValidateQueries.load(std::memory_order_relaxed);
+        s.pdrDropQueries = pdrDropQueries.load(std::memory_order_relaxed);
+        s.pdrPushQueries = pdrPushQueries.load(std::memory_order_relaxed);
+        s.pdrSideSolves = pdrSideSolves.load(std::memory_order_relaxed);
         s.hygieneClausesDropped = hygieneClausesDropped.load(std::memory_order_relaxed);
         s.solverLiveClauses = solverLiveClauses.load(std::memory_order_relaxed);
         s.solverLearntClauses = solverLearntClauses.load(std::memory_order_relaxed);

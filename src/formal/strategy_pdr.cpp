@@ -42,6 +42,12 @@ void runPdr(const ProofContext& ctx, ObligationJob& job) {
         span.arg("lifted", pr.stats.liftedLiterals);
         span.arg("conflicts", pr.stats.conflicts);
         span.arg("propagations", pr.stats.propagations);
+        span.arg("q_bad", pr.stats.badQueries);
+        span.arg("q_block", pr.stats.blockQueries);
+        span.arg("q_validate", pr.stats.validateQueries);
+        span.arg("q_drop", pr.stats.dropQueries);
+        span.arg("q_push", pr.stats.pushQueries);
+        span.arg("q_side", pr.stats.sideSolves);
     }
     job.result.seconds += sw.seconds();
 

@@ -28,6 +28,12 @@ struct VerificationReport;
     X(pdr_lifted, pdrLiftedLiterals)                                                         \
     X(pdr_conflicts, pdrConflicts)                                                           \
     X(pdr_propagations, pdrPropagations)                                                     \
+    X(pdr_q_bad, pdrBadQueries)                                                              \
+    X(pdr_q_block, pdrBlockQueries)                                                          \
+    X(pdr_q_validate, pdrValidateQueries)                                                    \
+    X(pdr_q_drop, pdrDropQueries)                                                            \
+    X(pdr_q_push, pdrPushQueries)                                                            \
+    X(pdr_q_side, pdrSideSolves)                                                             \
     X(hygiene_drops, hygieneClausesDropped)                                                  \
     X(live_clauses, solverLiveClauses)                                                       \
     X(learnt_clauses, solverLearntClauses)                                                   \

@@ -49,6 +49,9 @@ struct TraceArg {
     uint64_t val = 0;
 };
 
+/// Args one event carries: the `pdr` span's End has 14.
+constexpr size_t kMaxTraceArgs = 16;
+
 /// One recorded event. `cat` and `name` must be string literals, like
 /// TraceArg keys; `ob` is the obligation declaration index the event is
 /// attributed to (-1 = run-level, not obligation-scoped).
@@ -66,7 +69,7 @@ struct TraceEvent {
     const char* name = "";
     int64_t ob = -1;
     int64_t ts = 0; ///< Nanoseconds since the recorder's epoch.
-    std::array<TraceArg, 8> args{};
+    std::array<TraceArg, kMaxTraceArgs> args{};
 };
 
 /// Establishes the worker lane for the current thread for the lifetime of
@@ -156,7 +159,7 @@ public:
     Span& operator=(const Span&) = delete;
 
     /// Attaches a summary arg to the End event. Silently drops args past
-    /// the TraceEvent capacity (8).
+    /// the TraceEvent capacity (kMaxTraceArgs).
     void arg(const char* key, uint64_t val);
 
     /// Emits the End event now instead of at destruction — for spans whose
@@ -170,7 +173,7 @@ private:
     const char* name_;
     int64_t ob_;
     uint8_t numArgs_ = 0;
-    std::array<TraceArg, 8> args_{};
+    std::array<TraceArg, kMaxTraceArgs> args_{};
 };
 
 // ---------------------------------------------------------------------------

@@ -19,6 +19,12 @@ void fireSlot(std::atomic<bool>& token, std::atomic<uint8_t>& cause, Watchdog::C
 } // namespace
 
 Watchdog::Watchdog(const Config& cfg) : cfg_(cfg), epoch_(Clock::now()) {
+    // A stop flag already raised (or a budget already spent) fires the run
+    // token before any work starts, not one scan period into it.
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        scanLocked(epoch_);
+    }
     thread_ = std::thread([this] { scanLoop(); });
 }
 
@@ -75,23 +81,25 @@ void Watchdog::scanLoop() {
     while (!shutdown_) {
         cv_.wait_for(lock, kScanPeriod);
         if (shutdown_) break;
-        const auto now = Clock::now();
-        if (!runToken_.load()) {
-            if (cfg_.externalStop != nullptr && cfg_.externalStop->load())
-                fireRunLocked(Cause::ExternalStop);
-            else if (cfg_.runBudgetSeconds > 0.0 &&
-                     std::chrono::duration<double>(now - epoch_).count() >=
-                         cfg_.runBudgetSeconds)
-                fireRunLocked(Cause::RunBudget);
-        }
-        if (cfg_.obligationTimeoutSeconds > 0.0) {
-            for (Slot& slot : slots_) {
-                if (!slot.active || slot.token.load()) continue;
-                if (std::chrono::duration<double>(now - slot.start).count() >=
-                    cfg_.obligationTimeoutSeconds) {
-                    fireSlot(slot.token, slot.cause, Cause::JobTimeout);
-                    jobTimeouts_.fetch_add(1);
-                }
+        scanLocked(Clock::now());
+    }
+}
+
+void Watchdog::scanLocked(Clock::time_point now) {
+    if (!runToken_.load()) {
+        if (cfg_.externalStop != nullptr && cfg_.externalStop->load())
+            fireRunLocked(Cause::ExternalStop);
+        else if (cfg_.runBudgetSeconds > 0.0 &&
+                 std::chrono::duration<double>(now - epoch_).count() >= cfg_.runBudgetSeconds)
+            fireRunLocked(Cause::RunBudget);
+    }
+    if (cfg_.obligationTimeoutSeconds > 0.0) {
+        for (Slot& slot : slots_) {
+            if (!slot.active || slot.token.load()) continue;
+            if (std::chrono::duration<double>(now - slot.start).count() >=
+                cfg_.obligationTimeoutSeconds) {
+                fireSlot(slot.token, slot.cause, Cause::JobTimeout);
+                jobTimeouts_.fetch_add(1);
             }
         }
     }

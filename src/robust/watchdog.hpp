@@ -131,6 +131,9 @@ public:
 
 private:
     void scanLoop();
+    /// One scan: fires the run token on an external stop or a spent run
+    /// budget, and every job token past its deadline. Requires mu_ held.
+    void scanLocked(Clock::time_point now);
     void fireRunLocked(Cause cause); ///< Requires mu_ held.
     void releaseSlot(Slot* slot);
 

@@ -215,10 +215,10 @@ TEST(Trajectory, DefaultSearchCountersPinned) {
         uint64_t satCalls, frames, cubes, drops, seeds, lifted, pdrConflicts;
     };
     const Pin pins[] = {
-        {"ariane_lsu", 0, 17930, 25, 838, 10404, 227, 2699, 9585},
-        {"noc_buffer", 0, 23713, 23, 967, 13666, 275, 2690, 14515},
-        {"ariane_lsu", 1, 8760, 39, 523, 2344, 21, 2432, 4903},
-        {"mem_engine", 1, 474, 9, 33, 137, 0, 25, 133},
+        {"ariane_lsu", 0, 20685, 27, 1021, 13451, 232, 3453, 10912},
+        {"noc_buffer", 0, 20147, 24, 946, 13006, 324, 2346, 12548},
+        {"ariane_lsu", 1, 4777, 37, 481, 2101, 21, 2609, 2584},
+        {"mem_engine", 1, 350, 9, 33, 137, 0, 25, 99},
     };
     for (const Pin& pin : pins) {
         SCOPED_TRACE(std::string(pin.design) + " BUG=" + std::to_string(pin.bug));

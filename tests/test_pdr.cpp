@@ -83,6 +83,16 @@ TEST(PdrCheck, ProvesAndPopulatesStats) {
     EXPECT_GT(r.stats.framesOpened, 0u);
     EXPECT_GT(r.stats.cubesBlocked, 0u);
     EXPECT_GT(r.stats.genDropAttempts, 0u);
+    // Every solve has exactly one kind, so the kinds add up to the total.
+    const formal::PdrStats& q = r.stats;
+    EXPECT_EQ(q.badQueries + q.blockQueries + q.validateQueries + q.dropQueries +
+                  q.pushQueries + q.sideSolves,
+              r.queries);
+    EXPECT_GT(q.badQueries, 0u);
+    EXPECT_GT(q.blockQueries, 0u);
+    EXPECT_GT(q.dropQueries, 0u);
+    EXPECT_GT(q.pushQueries, 0u);
+    EXPECT_GT(q.sideSolves, 0u); // The level-0 check.
 }
 
 // ---------------------------------------------------------------------------
@@ -237,10 +247,76 @@ TEST(TernarySim, LiftedCubeKeepsOutputsForEveryCompletion) {
     EXPECT_GT(kept, 0u);
 }
 
+/// A safety query on a RandomAig: `bad` is a conjunction of three pool
+/// literals, so it is often unreachable, and half the queries carry one
+/// constraint.
+struct RandomQuery {
+    formal::AigLit bad = formal::kAigFalse;
+    std::vector<formal::AigLit> constraints;
+
+    RandomQuery(RandomAig& g, std::mt19937_64& rng) {
+        bad = g.pick(rng);
+        for (int i = 0; i < 2; ++i) bad = g.aig.mkAnd(bad, g.pick(rng));
+        if (rng() % 2 == 0) {
+            const formal::AigLit c = g.pick(rng);
+            constraints.push_back(g.aig.mkOr(c, g.pick(rng)));
+        }
+    }
+};
+
+/// Explicit-state semantics of a RandomQuery: bit i of a state is latch i
+/// of aig.latches(), bit i of an input is input i of aig.inputs(). A step
+/// needs the constraints in its source state, and so does a bad state.
+struct ExplicitModel {
+    const RandomAig& g;
+    const RandomQuery& q;
+
+    [[nodiscard]] uint32_t numStates() const { return 1u << g.aig.latches().size(); }
+
+    [[nodiscard]] bool isInit(uint32_t s) const {
+        const auto& latches = g.aig.latches();
+        for (size_t i = 0; i < latches.size(); ++i) {
+            const int iv = g.aig.latchInit(latches[i]);
+            if (iv >= 0 && iv != static_cast<int>((s >> i) & 1)) return false;
+        }
+        return true;
+    }
+
+    [[nodiscard]] bool inCube(const PdrCube& cube, uint32_t s) const {
+        const auto& latches = g.aig.latches();
+        for (auto [var, val] : cube) {
+            const auto at = std::find(latches.begin(), latches.end(), var) - latches.begin();
+            if ((((s >> at) & 1) != 0) != val) return false;
+        }
+        return true;
+    }
+
+    /// Every constrained step out of `s`: (is the source state bad under
+    /// that input, successor state).
+    [[nodiscard]] std::vector<std::pair<bool, uint32_t>> steps(uint32_t s) const {
+        const auto& latches = g.aig.latches();
+        const auto& inputs = g.aig.inputs();
+        std::vector<std::pair<bool, uint32_t>> out;
+        for (uint32_t in = 0; in < (1u << inputs.size()); ++in) {
+            std::vector<bool> vals(g.aig.numVars());
+            for (size_t i = 0; i < latches.size(); ++i) vals[latches[i]] = ((s >> i) & 1) != 0;
+            for (size_t i = 0; i < inputs.size(); ++i) vals[inputs[i]] = ((in >> i) & 1) != 0;
+            vals = g.eval(std::move(vals));
+            bool ok = true;
+            for (formal::AigLit c : q.constraints) ok = ok && RandomAig::value(vals, c);
+            if (!ok) continue;
+            uint32_t next = 0;
+            for (size_t i = 0; i < latches.size(); ++i)
+                if (RandomAig::value(vals, g.aig.latchNext(latches[i]))) next |= 1u << i;
+            out.emplace_back(RandomAig::value(vals, q.bad), next);
+        }
+        return out;
+    }
+};
+
 // End to end: with lifted cubes, pdrCheck agrees with explicit-state
-// reachability on small random AIGs (a transition needs the constraint in
-// its source state; `bad` needs it too), and every cube of a proof's
-// invariant excludes every reachable state.
+// reachability on small random AIGs, and every cube of a proof's invariant
+// excludes every reachable state.
 TEST(PdrCheck, LiftedSearchMatchesExplicitReachability) {
     std::mt19937_64 rng(2104);
     int proven = 0, deepCex = 0;
@@ -248,35 +324,12 @@ TEST(PdrCheck, LiftedSearchMatchesExplicitReachability) {
     for (int trial = 0; trial < 150; ++trial) {
         SCOPED_TRACE("trial " + std::to_string(trial));
         RandomAig g(rng);
-        const formal::Aig& aig = g.aig;
-        // bad as a conjunction, so it is often unreachable.
-        formal::AigLit bad = g.pick(rng);
-        for (int i = 0; i < 2; ++i) bad = g.aig.mkAnd(bad, g.pick(rng));
-        std::vector<formal::AigLit> constraints;
-        if (rng() % 2 == 0) {
-            const formal::AigLit c = g.pick(rng);
-            constraints.push_back(g.aig.mkOr(c, g.pick(rng)));
-        }
-
-        const auto& latches = aig.latches();
-        const auto& inputs = aig.inputs();
-        auto valuation = [&](uint32_t state, uint32_t in) {
-            std::vector<bool> vals(aig.numVars());
-            for (size_t i = 0; i < latches.size(); ++i) vals[latches[i]] = ((state >> i) & 1) != 0;
-            for (size_t i = 0; i < inputs.size(); ++i) vals[inputs[i]] = ((in >> i) & 1) != 0;
-            return g.eval(std::move(vals));
-        };
-        auto litVal = &RandomAig::value;
-        const uint32_t numStates = 1u << latches.size();
-        std::vector<char> reached(numStates, 0);
+        const RandomQuery q(g, rng);
+        const ExplicitModel x{g, q};
+        std::vector<char> reached(x.numStates(), 0);
         std::vector<uint32_t> frontier;
-        for (uint32_t s = 0; s < numStates; ++s) {
-            bool init = true;
-            for (size_t i = 0; i < latches.size(); ++i) {
-                const int iv = aig.latchInit(latches[i]);
-                if (iv >= 0 && iv != static_cast<int>((s >> i) & 1)) init = false;
-            }
-            if (init) {
+        for (uint32_t s = 0; s < x.numStates(); ++s) {
+            if (x.isInit(s)) {
                 reached[s] = 1;
                 frontier.push_back(s);
             }
@@ -285,15 +338,8 @@ TEST(PdrCheck, LiftedSearchMatchesExplicitReachability) {
         while (!frontier.empty()) {
             const uint32_t s = frontier.back();
             frontier.pop_back();
-            for (uint32_t in = 0; in < (1u << inputs.size()); ++in) {
-                const std::vector<bool> vals = valuation(s, in);
-                bool ok = true;
-                for (formal::AigLit c : constraints) ok = ok && litVal(vals, c);
-                if (!ok) continue;
-                if (litVal(vals, bad)) badReachable = true;
-                uint32_t next = 0;
-                for (size_t i = 0; i < latches.size(); ++i)
-                    if (litVal(vals, aig.latchNext(latches[i]))) next |= 1u << i;
+            for (auto [isBad, next] : x.steps(s)) {
+                if (isBad) badReachable = true;
                 if (!reached[next]) {
                     reached[next] = 1;
                     frontier.push_back(next);
@@ -301,7 +347,7 @@ TEST(PdrCheck, LiftedSearchMatchesExplicitReachability) {
             }
         }
 
-        const PdrResult r = formal::pdrCheck(aig, bad, constraints);
+        const PdrResult r = formal::pdrCheck(g.aig, q.bad, q.constraints);
         ASSERT_NE(r.kind, PdrResult::Kind::Unknown);
         ASSERT_EQ(r.kind == PdrResult::Kind::Cex, badReachable);
         lifted += r.stats.liftedLiterals;
@@ -310,21 +356,51 @@ TEST(PdrCheck, LiftedSearchMatchesExplicitReachability) {
             continue;
         }
         ++proven;
-        for (uint32_t s = 0; s < numStates; ++s) {
+        for (uint32_t s = 0; s < x.numStates(); ++s) {
             if (!reached[s]) continue;
-            for (const PdrCube& cube : r.invariant) {
-                bool inside = true;
-                for (auto [var, val] : cube) {
-                    const auto at = std::find(latches.begin(), latches.end(), var) - latches.begin();
-                    if ((((s >> at) & 1) != 0) != val) inside = false;
-                }
-                ASSERT_FALSE(inside) << "reachable state " << s << " in an invariant cube";
-            }
+            for (const PdrCube& cube : r.invariant)
+                ASSERT_FALSE(x.inCube(cube, s)) << "reachable state " << s << " in an invariant cube";
         }
     }
     EXPECT_GT(proven, 0);
     EXPECT_GT(deepCex, 0);
     EXPECT_GT(lifted, 0u);
+}
+
+// Every Proven verdict carries a closed certificate: checked by explicit
+// enumeration, the invariant holds in every initial state, every
+// constrained step from inside it stays inside, and no state inside it is
+// bad under the constraints. A cube that leaves the frame lists but keeps
+// its clause in the frame solvers yields a proof the lists do not certify.
+TEST(PdrCheck, ProvenInvariantIsInductive) {
+    std::mt19937_64 rng(2011);
+    int proven = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        RandomAig g(rng);
+        const RandomQuery q(g, rng);
+        const PdrResult r = formal::pdrCheck(g.aig, q.bad, q.constraints);
+        ASSERT_NE(r.kind, PdrResult::Kind::Unknown);
+        if (r.kind != PdrResult::Kind::Proven) continue;
+        ++proven;
+        const ExplicitModel x{g, q};
+        auto inside = [&](uint32_t s) {
+            for (const PdrCube& cube : r.invariant)
+                if (x.inCube(cube, s)) return false;
+            return true;
+        };
+        for (uint32_t s = 0; s < x.numStates(); ++s) {
+            if (x.isInit(s)) {
+                ASSERT_TRUE(inside(s)) << "initial state " << s << " outside";
+            }
+            if (!inside(s)) continue;
+            for (auto [isBad, next] : x.steps(s)) {
+                ASSERT_FALSE(isBad) << "bad state " << s << " inside";
+                ASSERT_TRUE(inside(next)) << "step " << s << " -> " << next << " leaves";
+            }
+        }
+    }
+    EXPECT_GT(proven, 100);
 }
 
 // ---------------------------------------------------------------------------
