@@ -165,7 +165,7 @@ struct EngineStats {
     uint64_t conesMaterialized = 0; ///< Unroller root cones encoded on demand.
     uint64_t solverReuses = 0;      ///< Jobs a BMC sweep solver served beyond its first.
     /// PDR observability (aggregated over every pdrCheck of the run; the
-    /// --stats "pdr:" line and the bench --json rows carry them).
+    /// --stats "pdr:" line and the --stats-json manifest carry them).
     uint64_t pdrFramesOpened = 0;      ///< Frame solvers constructed.
     uint64_t pdrCubesBlocked = 0;      ///< Generalized cubes added to, or moved up, the frames.
     uint64_t pdrGenDropAttempts = 0;   ///< Literal-drop consecution probes.
@@ -193,14 +193,13 @@ struct EngineStats {
     /// Clauses dropped whole at addClause entry, over every strategy solver
     /// (the --stats "encoder:" line).
     uint64_t hygieneClausesDropped = 0;
-    /// Memory observability (the --stats "mem:" line and bench rows).
+    /// Memory observability (the --stats "mem:" line and --stats-json).
     uint64_t solverLiveClauses = 0;  ///< Live problem+learnt clauses, summed at fold time.
     uint64_t solverLearntClauses = 0;///< Live learnt clauses, summed at fold time.
     uint64_t peakRssKb = 0;          ///< getrusage peak RSS of the run (KiB; 0 if unavailable).
     /// Wall clock of phase A (safety assertions + covers, full pipeline).
     double phaseASeconds = 0.0;
-    /// Wall clock of the liveness phase (frontier + the PDR lemma chain);
-    /// what bench_parallel_speedup's phase-B no-regression gate measures.
+    /// Wall clock of the liveness phase (frontier + the PDR lemma chain).
     double phaseBSeconds = 0.0;
     /// Robustness observability (the --stats "robust:" line): obligations
     /// degraded to Unknown by a deadline or stop, and why the run token

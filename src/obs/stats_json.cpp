@@ -6,6 +6,34 @@
 
 #include "sva/report.hpp"
 
+// The leading fields of the manifest's "engine" object, in emission
+// order: X(json_key, engine_stats_member).
+#define AUTOSVA_ENGINE_JSON_U64_FIELDS(X)                                                    \
+    X(sat_calls, satCalls)                                                                   \
+    X(conflicts, conflicts)                                                                  \
+    X(pdr_frames, pdrFramesOpened)                                                           \
+    X(pdr_cubes, pdrCubesBlocked)                                                            \
+    X(pdr_gen_drops, pdrGenDropAttempts)                                                     \
+    X(pdr_seeds, pdrSeedCubesAdmitted)                                                       \
+    X(pdr_lifted, pdrLiftedLiterals)                                                         \
+    X(pdr_conflicts, pdrConflicts)                                                           \
+    X(pdr_propagations, pdrPropagations)                                                     \
+    X(pdr_q_bad, pdrBadQueries)                                                              \
+    X(pdr_q_block, pdrBlockQueries)                                                          \
+    X(pdr_q_validate, pdrValidateQueries)                                                    \
+    X(pdr_q_drop, pdrDropQueries)                                                            \
+    X(pdr_q_push, pdrPushQueries)                                                            \
+    X(pdr_q_side, pdrSideSolves)                                                             \
+    X(hygiene_drops, hygieneClausesDropped)                                                  \
+    X(live_clauses, solverLiveClauses)                                                       \
+    X(learnt_clauses, solverLearntClauses)                                                   \
+    X(peak_rss_kb, peakRssKb)
+
+// Wall-clock fields that follow them, emitted with %.6f formatting.
+#define AUTOSVA_ENGINE_JSON_DOUBLE_FIELDS(X)                                                 \
+    X(phase_a_s, phaseASeconds)                                                              \
+    X(phase_b_s, phaseBSeconds)
+
 namespace autosva::obs {
 
 namespace {

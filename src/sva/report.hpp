@@ -12,9 +12,9 @@ namespace autosva::sva {
 /// Frontend-side counters of a verification run. The typed-AST property
 /// pipeline hands the generated property module to the elaborator as AST,
 /// so `generatedTextReparses` is 0 on every `autosva run`/`run-design`
-/// path (the CLI --stats line and bench_generation_speed gate it); the
-/// fallback of re-parsing printed text only exists for hand-built
-/// testbenches without an AST.
+/// path (the CLI --stats line reports it; tests/test_pipeline.cpp gates
+/// it); the fallback of re-parsing printed text only exists for
+/// hand-built testbenches without an AST.
 struct FrontendStats {
     uint64_t sourcesParsed = 0;         ///< RTL buffers lexed + parsed this run.
     uint64_t generatedTextReparses = 0; ///< Generated property text re-parsed (0 on AST path).

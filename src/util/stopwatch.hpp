@@ -1,4 +1,4 @@
-// Wall-clock stopwatch for engine statistics and bench reporting.
+// Wall-clock stopwatch for engine statistics and timing tests.
 #pragma once
 
 #include <chrono>

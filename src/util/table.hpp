@@ -1,4 +1,4 @@
-// Aligned text-table rendering for bench/report output.
+// Aligned text-table rendering for reports and counterexample traces.
 #pragma once
 
 #include <string>
@@ -6,8 +6,8 @@
 
 namespace autosva::util {
 
-/// Builds plain-text tables with aligned columns, used by the benchmark
-/// harnesses to print the rows of the paper's tables.
+/// Builds plain-text tables with aligned columns: the verification
+/// report's property table and formal::formatTrace's waveform.
 class TextTable {
 public:
     explicit TextTable(std::vector<std::string> header);

@@ -91,7 +91,6 @@ sva::VerificationReport runMixed(const std::string& rtl, const std::string& cach
                                  int jobs = 1) {
     util::DiagEngine diags;
     core::VerifyOptions vopts;
-    vopts.engine.bmcDepth = 15;
     vopts.engine.jobs = jobs;
     vopts.engine.cacheDir = cacheDir;
     core::FormalTestbench ft = core::generateFT(rtl, {}, diags);
@@ -956,6 +955,43 @@ TEST(CacheIntegration, SearchedChainLinkIsNotReportedCached) {
     ASSERT_EQ(rerunPdr.count(1), 1u); // Frontier hit (Unknown), chain miss: searched.
     EXPECT_FALSE(rerun[1].cached);
     EXPECT_EQ(rerun[1].status, fill[1].status);
+}
+
+// ---------------------------------------------------------------------------
+// Warm reruns of paper designs
+// ---------------------------------------------------------------------------
+
+/// `autosva run-design <name>` at engine defaults, with the proof cache
+/// in `cacheDir` (empty disables it).
+sva::VerificationReport runPaperDesign(const designs::DesignInfo& info,
+                                       const std::string& cacheDir) {
+    util::DiagEngine diags;
+    core::FormalTestbench ft = core::generateFT(info.rtl, {}, diags);
+    core::VerifyOptions vopts;
+    vopts.engine.cacheDir = cacheDir;
+    if (!info.extensionSva.empty()) vopts.extraSources.push_back(info.extensionSva);
+    return core::verify(designs::rtlSources(info), ft, vopts, diags);
+}
+
+// The cache changes how fast a verdict arrives, never which verdict: on the
+// Ariane MMU (submodule binds, the seeded lemma chain) and LSU, a cold run
+// reports what a cache-free run reports, and a rerun of the unchanged
+// design is answered from the log alone, without one SAT call.
+TEST(CacheWarmRerun, ArianeMmuAndLsuAllHitAndSatFree) {
+    for (const char* name : {"ariane_mmu", "ariane_lsu"}) {
+        SCOPED_TRACE(name);
+        const auto& info = designs::design(name);
+        TempDir dir(std::string("warm_") + name);
+        const sva::VerificationReport disabled = runPaperDesign(info, "");
+        const sva::VerificationReport cold = runPaperDesign(info, dir.str());
+        const sva::VerificationReport warm = runPaperDesign(info, dir.str());
+
+        EXPECT_EQ(disabled.canonical(), cold.canonical());
+        EXPECT_EQ(cold.canonical(), warm.canonical());
+        EXPECT_GT(warm.engineStats.cacheLookups, 0u);
+        EXPECT_EQ(warm.engineStats.cacheHits, warm.engineStats.cacheLookups);
+        EXPECT_EQ(warm.engineStats.satCalls, 0u);
+    }
 }
 
 } // namespace

@@ -5,6 +5,8 @@
 
 #include "core/autosva.hpp"
 #include "designs/designs.hpp"
+#include "formal/engine.hpp"
+#include "rtlir/elaborate.hpp"
 
 namespace {
 
@@ -180,6 +182,96 @@ TEST(Table3, MemEngine_FixedProves) {
     RunResult rr = runDesign("mem_engine", /*bug=*/0, true, {&bufFt});
     SCOPED_TRACE(rr.report.str());
     EXPECT_TRUE(rr.report.allProven());
+}
+
+// --- AB1: symbolic transaction IDs versus per-ID enumeration --------------
+// §III-B tracks all transaction IDs with one symbolic index. What a designer
+// writes without it, one tracker per concrete ID, must prove the fixed NoC
+// buffer too; it just replicates the monitor state and properties per ID.
+const char* kNocBufferPerIdProp = R"(
+module noc_buffer_enum_prop (
+  input wire clk_i,
+  input wire rst_ni,
+  input wire noc1buffer_req_val_i,
+  input wire noc1buffer_req_rdy_o,
+  input wire [1:0] noc1buffer_req_mshrid_i,
+  input wire noc1buffer_enc_val_o,
+  input wire noc1buffer_enc_rdy_i,
+  input wire [1:0] noc1buffer_enc_mshrid_o
+);
+  default clocking cb @(posedge clk_i); endclocking
+  default disable iff (!rst_ni);
+
+  wire req_hsk = noc1buffer_req_val_i && noc1buffer_req_rdy_o;
+  wire enc_hsk = noc1buffer_enc_val_o && noc1buffer_enc_rdy_i;
+
+  reg [3:0] sampled0;
+  wire set0 = req_hsk && noc1buffer_req_mshrid_i == 2'd0;
+  wire rsp0 = enc_hsk && noc1buffer_enc_mshrid_o == 2'd0;
+  always_ff @(posedge clk_i or negedge rst_ni) begin
+    if (!rst_ni) sampled0 <= '0;
+    else if (set0 || rsp0) sampled0 <= sampled0 + set0 - rsp0;
+  end
+  as__evresp0: assert property (set0 |-> s_eventually (rsp0));
+  as__hadreq0: assert property (rsp0 |-> set0 || sampled0 > 0);
+  am__maxout0: assume property (sampled0 >= 4'd8 |-> !set0);
+
+  reg [3:0] sampled1;
+  wire set1 = req_hsk && noc1buffer_req_mshrid_i == 2'd1;
+  wire rsp1 = enc_hsk && noc1buffer_enc_mshrid_o == 2'd1;
+  always_ff @(posedge clk_i or negedge rst_ni) begin
+    if (!rst_ni) sampled1 <= '0;
+    else if (set1 || rsp1) sampled1 <= sampled1 + set1 - rsp1;
+  end
+  as__evresp1: assert property (set1 |-> s_eventually (rsp1));
+  as__hadreq1: assert property (rsp1 |-> set1 || sampled1 > 0);
+  am__maxout1: assume property (sampled1 >= 4'd8 |-> !set1);
+
+  reg [3:0] sampled2;
+  wire set2 = req_hsk && noc1buffer_req_mshrid_i == 2'd2;
+  wire rsp2 = enc_hsk && noc1buffer_enc_mshrid_o == 2'd2;
+  always_ff @(posedge clk_i or negedge rst_ni) begin
+    if (!rst_ni) sampled2 <= '0;
+    else if (set2 || rsp2) sampled2 <= sampled2 + set2 - rsp2;
+  end
+  as__evresp2: assert property (set2 |-> s_eventually (rsp2));
+  as__hadreq2: assert property (rsp2 |-> set2 || sampled2 > 0);
+  am__maxout2: assume property (sampled2 >= 4'd8 |-> !set2);
+
+  reg [3:0] sampled3;
+  wire set3 = req_hsk && noc1buffer_req_mshrid_i == 2'd3;
+  wire rsp3 = enc_hsk && noc1buffer_enc_mshrid_o == 2'd3;
+  always_ff @(posedge clk_i or negedge rst_ni) begin
+    if (!rst_ni) sampled3 <= '0;
+    else if (set3 || rsp3) sampled3 <= sampled3 + set3 - rsp3;
+  end
+  as__evresp3: assert property (set3 |-> s_eventually (rsp3));
+  as__hadreq3: assert property (rsp3 |-> set3 || sampled3 > 0);
+  am__maxout3: assume property (sampled3 >= 4'd8 |-> !set3);
+
+  // Drain fairness (same as the generated FT's enc-side assumption).
+  am__enc_fair: assume property (noc1buffer_enc_val_o |->
+                                 s_eventually (noc1buffer_enc_rdy_i));
+endmodule
+
+bind noc_buffer noc_buffer_enum_prop enum_prop_i (.*);
+)";
+
+TEST(Ablation, AB1_NocBuffer_PerIdTrackersProve) {
+    util::DiagEngine diags;
+    ir::ElabOptions elabOpts;
+    elabOpts.paramOverrides["BUG"] = 0;
+    elabOpts.tieOffs["rst_ni"] = 1;
+    auto design = ir::elaborateSources({designs::design("noc_buffer").rtl, kNocBufferPerIdProp},
+                                       "noc_buffer", diags, elabOpts);
+    ASSERT_NE(design, nullptr);
+    formal::Engine engine(*design);
+    const auto results = engine.checkAll();
+    ASSERT_FALSE(results.empty());
+    for (const auto& r : results) {
+        EXPECT_NE(r.status, formal::Status::Failed) << r.name;
+        EXPECT_NE(r.status, formal::Status::Unknown) << r.name;
+    }
 }
 
 // --- Trajectory tripwire --------------------------------------------------

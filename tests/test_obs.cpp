@@ -183,10 +183,6 @@ sva::VerificationReport runDesign(const std::string& name, int jobs, obs::Record
     core::FormalTestbench ft = core::generateFT(info.rtl, {}, diags);
     core::VerifyOptions vopts;
     vopts.engine.jobs = jobs;
-    // The Table III bounded budget: keeps the matrix fast; inertness must
-    // hold at any budget.
-    vopts.engine.bmcDepth = 15;
-    vopts.engine.pdrMaxQueries = 30000;
     vopts.engine.trace = rec;
     if (!info.extensionSva.empty()) vopts.extraSources.push_back(info.extensionSva);
     return core::verify(designs::rtlSources(info), ft, vopts, diags);
@@ -282,7 +278,7 @@ TEST(StatsJson, ManifestIsValidJsonWithSharedSchemaFields) {
     const std::string text = out.str();
     EXPECT_TRUE(JsonScanner(text).valid()) << text.substr(0, 400);
     EXPECT_NE(text.find("\"schema\": \"autosva-run-v1\""), std::string::npos);
-    // One spot-check per X-macro list: the shared keys really appear.
+    // One spot-check per engine field list: the keys really appear.
     EXPECT_NE(text.find("\"sat_calls\""), std::string::npos);
     EXPECT_NE(text.find("\"phase_a_s\""), std::string::npos);
     EXPECT_NE(text.find("\"properties\""), std::string::npos);

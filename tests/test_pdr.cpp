@@ -418,7 +418,7 @@ DesignRun runDesign(const designs::DesignInfo& info, bool aigRewrite, int jobs,
     util::DiagEngine diags;
     core::FormalTestbench ft = core::generateFT(info.rtl, {}, diags);
     core::VerifyOptions vopts;
-    // The bench budgets: every scheduler phase still runs, the PDR tails
+    // Capped PDR budgets: every scheduler phase still runs, the PDR tails
     // stay bounded. The MMU runs below its liveness budget edge: verdicts
     // are monotone in the query budget, but *which* side of a budget bound
     // a proof lands on is a property of the graph representation — the two

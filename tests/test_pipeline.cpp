@@ -2,8 +2,13 @@
 // -> model checking, on small handwritten DUTs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/autosva.hpp"
+#include "core/interface_scan.hpp"
 #include "designs/designs.hpp"
+#include "rtlir/elaborate.hpp"
+#include "util/stopwatch.hpp"
 #include "verilog/parser.hpp"
 
 namespace {
@@ -161,6 +166,57 @@ TEST(Pipeline, ElaborationNeverReparsesGeneratedText) {
         ASSERT_NE(design, nullptr);
         EXPECT_EQ(verilog::Parser::sourceParseCount() - parses0, sources.size());
     }
+}
+
+// The AST path is also the cheaper one: over every registry design,
+// generating the testbench and elaborating it through the AST takes at most
+// 1.10x the re-parse baseline, which parses the DUT again for the interface
+// scan and re-parses the printed property and bind text. Each stage keeps
+// its best of three runs to damp scheduler noise.
+TEST(Pipeline, AstElaborationNoSlowerThanReparseBaseline) {
+    constexpr int kReps = 3;
+    double astTotal = 0.0;
+    double reparseTotal = 0.0;
+    for (const auto& info : designs::allDesigns()) {
+        SCOPED_TRACE(info.name);
+        const std::vector<std::string> sources = designs::rtlSources(info);
+        core::AutoSvaOptions genOpts;
+        genOpts.sourcePath = info.name + ".sv";
+        core::VerifyOptions vopts;
+        vopts.sourcePaths = designs::rtlSourceNames(info);
+        double generate = 1e9;
+        double elabAst = 1e9;
+        double elabReparse = 1e9;
+        for (int rep = 0; rep < kReps; ++rep) {
+            util::DiagEngine diags;
+            util::Stopwatch sw;
+            core::FormalTestbench ft = core::generateFT(info.rtl, genOpts, diags);
+            generate = std::min(generate, sw.seconds());
+
+            sw.reset();
+            auto design = core::elaborateWithFT(sources, ft, vopts, diags);
+            elabAst = std::min(elabAst, sw.seconds());
+            ASSERT_NE(design, nullptr);
+
+            sw.reset();
+            verilog::SourceFile rescanned =
+                verilog::Parser::parseSource(sources[0], genOpts.sourcePath);
+            core::DutInterface dut = core::scanInterface(rescanned, {}, diags);
+            std::vector<std::string> texts = sources;
+            texts.push_back(ft.propertyFile);
+            texts.push_back(ft.bindFile);
+            ir::ElabOptions elabOpts;
+            elabOpts.tieOffs[dut.resetName] = dut.resetActiveLow ? 1u : 0u;
+            auto legacy = ir::elaborateSources(texts, ft.dutName, diags, elabOpts);
+            elabReparse = std::min(elabReparse, sw.seconds());
+            ASSERT_NE(legacy, nullptr);
+        }
+        astTotal += generate + elabAst;
+        reparseTotal += generate + elabReparse;
+    }
+    EXPECT_LE(astTotal, 1.10 * reparseTotal)
+        << "AST path " << astTotal * 1e3 << " ms, re-parse baseline " << reparseTotal * 1e3
+        << " ms";
 }
 
 } // namespace

@@ -209,6 +209,65 @@ endmodule)";
     EXPECT_GE(diags.count(util::Severity::Warning), 1u);
 }
 
+// Fig. 7 / AB3: an interface whose ports follow the naming convention needs
+// only the transaction declaration; the same interface under other names
+// maps every attribute explicitly. Both generate the same property set.
+TEST(PropGen, ImplicitAndExplicitAnnotationsGenerateTheSameProperties) {
+    const char* implicitRtl = R"(
+module conv (
+  input  wire clk_i,
+  input  wire rst_ni,
+  /*AUTOSVA
+  t: req -in> res
+  */
+  input  wire       req_val,
+  output wire       req_ack,
+  input  wire [1:0] req_transid,
+  input  wire [3:0] req_data,
+  output wire       res_val,
+  output wire [1:0] res_transid,
+  output wire [3:0] res_data
+);
+  assign req_ack = 1'b0;
+  assign res_val = 1'b0;
+  assign res_transid = '0;
+  assign res_data = '0;
+endmodule)";
+    const char* explicitRtl = R"(
+module expl (
+  input  wire clk_i,
+  input  wire rst_ni,
+  /*AUTOSVA
+  t: req -in> res
+  req_val = in_valid
+  req_ack = in_ready
+  [1:0] req_transid = in_tag
+  [3:0] req_data = in_payload
+  res_val = out_valid
+  [1:0] res_transid = out_tag
+  [3:0] res_data = out_payload
+  */
+  input  wire       in_valid,
+  output wire       in_ready,
+  input  wire [1:0] in_tag,
+  input  wire [3:0] in_payload,
+  output wire       out_valid,
+  output wire [1:0] out_tag,
+  output wire [3:0] out_payload
+);
+  assign in_ready = 1'b0;
+  assign out_valid = 1'b0;
+  assign out_tag = '0;
+  assign out_payload = '0;
+endmodule)";
+    util::DiagEngine diags;
+    FormalTestbench implicitFt = core::generateFT(implicitRtl, {}, diags);
+    FormalTestbench explicitFt = core::generateFT(explicitRtl, {}, diags);
+    EXPECT_GT(implicitFt.numProperties(), 0);
+    EXPECT_EQ(implicitFt.numProperties(), explicitFt.numProperties());
+    EXPECT_LT(implicitFt.annotationLines, explicitFt.annotationLines);
+}
+
 // Parameterized sweep: every Table II rule resolves to the right directive
 // for both transaction directions.
 class OrientationSweep : public ::testing::TestWithParam<std::tuple<int, bool>> {};

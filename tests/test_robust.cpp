@@ -237,7 +237,9 @@ TEST(Robust, InjectedCacheWriteFaultDropsPersistenceNotTheRun) {
     // Nothing after the header may have reached disk.
     std::error_code ec;
     uintmax_t size = fs::file_size(dir.logPath(), ec);
-    if (!ec) EXPECT_LE(size, 8u);
+    if (!ec) {
+        EXPECT_LE(size, 8u);
+    }
 }
 
 TEST(Robust, InjectedCacheReadFaultIgnoresWarmLogButPreservesIt) {
@@ -358,6 +360,53 @@ TEST(Robust, TimeBudgetDegradesButCoversEveryObligation) {
               static_cast<uint64_t>(Watchdog::Cause::RunBudget));
 }
 
+// The --time-budget contract over a ladder of budgets on the Ariane MMU at
+// engine defaults. Every budgeted run reports every obligation, ends within
+// budget + grace, contradicts no verdict the unbudgeted run decides, and
+// counts as degraded exactly the rows that carry a reason. Expiry cancels
+// in-flight solves but never abandons them, so the grace bounds the drain;
+// it gates prompt termination (seconds), not scheduler latency. A budget
+// under half the unbudgeted wall clock must actually stop the run.
+TEST(Robust, BudgetLadderNeverContradictsTheUnbudgetedRun) {
+    constexpr double kGraceSeconds = 20.0;
+    auto design = elabDesignWithFT(designs::design("ariane_mmu"));
+
+    auto t0 = std::chrono::steady_clock::now();
+    const auto reference = runStatuses(*design, EngineOptions{});
+    const double referenceSeconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    ASSERT_FALSE(reference.empty());
+
+    for (double budget : {0.05, 0.5, 2.0}) {
+        SCOPED_TRACE("budget " + std::to_string(budget) + " s");
+        EngineOptions opts;
+        opts.timeBudgetSeconds = budget;
+        formal::ObligationScheduler scheduler(*design, opts);
+        t0 = std::chrono::steady_clock::now();
+        const auto results = scheduler.run();
+        const double wall =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+
+        EXPECT_EQ(results.size(), design->obligations().size());
+        EXPECT_LE(wall, budget + kGraceSeconds);
+        uint64_t degraded = 0;
+        for (const auto& r : results) {
+            if (r.unknownReason != UnknownReason::None) ++degraded;
+            const auto ref = reference.find(r.name);
+            ASSERT_NE(ref, reference.end()) << r.name;
+            if (r.status != Status::Unknown && ref->second != Status::Unknown) {
+                EXPECT_EQ(r.status, ref->second) << r.name;
+            }
+        }
+        EXPECT_EQ(scheduler.stats().deadlineDegraded, degraded);
+        if (2 * budget < referenceSeconds) {
+            EXPECT_GT(degraded, 0u);
+            EXPECT_EQ(scheduler.stats().runStopCause,
+                      static_cast<uint64_t>(Watchdog::Cause::RunBudget));
+        }
+    }
+}
+
 TEST(Robust, PresetStopFlagDrainsRunAsInterrupted) {
     const auto& info = designs::design("ariane_mmu");
     auto design = elabDesignWithFT(info);
@@ -368,9 +417,11 @@ TEST(Robust, PresetStopFlagDrainsRunAsInterrupted) {
     formal::ObligationScheduler scheduler(*design, opts);
     auto results = scheduler.run();
     EXPECT_EQ(results.size(), design->obligations().size());
-    for (const auto& r : results)
-        if (r.unknownReason != UnknownReason::None)
+    for (const auto& r : results) {
+        if (r.unknownReason != UnknownReason::None) {
             EXPECT_EQ(r.unknownReason, UnknownReason::Interrupted) << r.name;
+        }
+    }
     EXPECT_EQ(scheduler.stats().runStopCause,
               static_cast<uint64_t>(Watchdog::Cause::ExternalStop));
 }

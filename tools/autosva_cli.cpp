@@ -143,8 +143,7 @@ options:
                    per line, merged across threads in timestamp order).
   --stats-json FILE  write a machine-readable run manifest: engine and
                    frontend counters plus per-property verdicts/depths/
-                   times (schema autosva-run-v1, shared with the bench
-                   harness --json field list).
+                   times (schema autosva-run-v1).
 )";
     std::exit(2);
 }
