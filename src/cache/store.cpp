@@ -147,18 +147,19 @@ void ProofCache::load() {
 // need the lock for the stats counters — the (potentially large) artifact
 // decode happens outside it, off other workers' probe path.
 
-std::optional<ProofArtifact> ProofCache::lookup(const Fingerprint& fp) {
+std::optional<ProofArtifact> ProofCache::lookup(
+    const Fingerprint& fp, const std::function<bool(const ProofArtifact&)>& adopt) {
     auto it = index_.find(fp);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.lookups;
-        if (it != index_.end()) {
-            ++stats_.hits;
-            ++stats_.decoded;
-        }
+    std::optional<ProofArtifact> art;
+    if (it != index_.end()) {
+        art = ProofArtifact::deserializeVerdict(it->second);
+        if (art && adopt && !adopt(*art)) art.reset();
     }
-    if (it == index_.end()) return std::nullopt;
-    return ProofArtifact::deserializeVerdict(it->second);
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.lookups;
+    if (it != index_.end()) ++stats_.decoded;
+    if (art) ++stats_.hits;
+    return art;
 }
 
 std::vector<NamedCube> ProofCache::storedLemmas(const Fingerprint& fp) {

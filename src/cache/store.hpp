@@ -17,6 +17,7 @@
 #pragma once
 
 #include <fstream>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -46,7 +47,7 @@ struct CompactResult {
 
 struct CacheStats {
     uint64_t lookups = 0;     ///< Exact-fingerprint probes.
-    uint64_t hits = 0;        ///< Probes answered from the store.
+    uint64_t hits = 0;        ///< Probes answered from the store and adopted.
     uint64_t stores = 0;      ///< Artifacts recorded this run.
     uint64_t nearHits = 0;    ///< Near-miss probes that yielded lemma seeds.
     uint64_t seededLemmas = 0; ///< Candidate lemma cubes handed to PDR.
@@ -81,9 +82,12 @@ public:
 
     /// Exact lookup against the open-time snapshot. A hit decodes its
     /// verdict and trace; its lemmas stay undecoded (storedLemmas reads
-    /// them). Entries stored during this run are deliberately not visible,
-    /// so intra-run scheduling order cannot leak into results.
-    [[nodiscard]] std::optional<ProofArtifact> lookup(const Fingerprint& fp);
+    /// them). `adopt`, when given, vets the decoded artifact for the
+    /// caller: a record it rejects is counted and returned as a miss.
+    /// Entries stored during this run are deliberately not visible, so
+    /// intra-run scheduling order cannot leak into results.
+    [[nodiscard]] std::optional<ProofArtifact> lookup(
+        const Fingerprint& fp, const std::function<bool(const ProofArtifact&)>& adopt = {});
 
     /// The lemmas of the open-time record under `fp` (empty when there is
     /// none): the invariant of a proof an exact hit served, decoded only

@@ -63,9 +63,9 @@ struct FrameSolver {
     std::unique_ptr<Unroller> un;
     uint32_t retiredGroups = 0;
 
-    FrameSolver(const Aig& aig, const std::atomic<bool>* watchdog) {
+    FrameSolver(const Aig& aig, const robust::Deadline* deadline) {
         solver = std::make_unique<SatSolver>();
-        if (watchdog) solver->bindWatchdog(watchdog);
+        solver->bindDeadline(deadline);
         un = std::make_unique<Unroller>(aig, *solver, Unroller::Init::Free);
     }
 
@@ -98,9 +98,9 @@ struct PdrSearch {
     /// The search's own queries: what opts.maxQueries bounds. The side
     /// solves (stats.sideSolves) run outside it.
     uint64_t queries = 0;
-    /// A SAT query answered Interrupted. Sticky: whatever raised it (a
-    /// cancellation token, or an injected spurious Interrupted with no
-    /// token at all — see robust/faultinject.hpp), the search must unwind
+    /// A SAT query answered Interrupted. Sticky: whatever raised it (an
+    /// expired deadline, or an injected spurious Interrupted with no
+    /// deadline at all — see robust/faultinject.hpp), the search must unwind
     /// through interruptedResult() rather than keep reasoning over answers
     /// that may reflect stale models.
     bool interruptedSeen = false;
@@ -119,18 +119,17 @@ struct PdrSearch {
     PdrSearch(const Aig& a, AigLit b, const std::vector<AigLit>& cons, const PdrOptions& o)
         : aig(a), bad(b), constraints(cons), opts(o), perturbRng(o.perturbSeed), sim(a) {}
 
-    /// Has the cancellation token been raised? Checked at every decision
-    /// point that could otherwise turn an Interrupted SAT answer into a
+    /// Has the search's deadline expired? Checked at every decision point
+    /// that could otherwise turn an Interrupted SAT answer into a
     /// fabricated verdict (solvers return Interrupted for any solve() once
-    /// the token is set, which reads as "no bad state" / "not inductive"
-    /// to the callers below — safe individually, but the outer loop must
-    /// never conclude from such answers). Also raised by interruptedSeen,
-    /// which covers Interrupted answers that arrive without any token
-    /// (injected faults) — one unexplained Interrupted and the search
-    /// unwinds instead of trusting later models.
+    /// the deadline expired, which reads as "no bad state" / "not
+    /// inductive" to the callers below — safe individually, but the outer
+    /// loop must never conclude from such answers). Also raised by
+    /// interruptedSeen, which covers Interrupted answers that arrive
+    /// without any deadline (injected faults) — one unexplained Interrupted
+    /// and the search unwinds instead of trusting later models.
     [[nodiscard]] bool stopRaised() const {
-        return interruptedSeen ||
-               (opts.watchdog && opts.watchdog->load(std::memory_order_relaxed));
+        return interruptedSeen || (opts.deadline && opts.deadline->expired());
     }
 
     /// Perturbation-fuzz hook: shuffles a sequence that is canonicalized
@@ -144,7 +143,7 @@ struct PdrSearch {
 
     FrameSolver& frameSolver(size_t i) {
         while (solvers.size() <= i) {
-            auto fs = std::make_unique<FrameSolver>(aig, opts.watchdog);
+            auto fs = std::make_unique<FrameSolver>(aig, opts.deadline);
             ++stats.framesOpened;
             // Constraints hold in the current state of every frame.
             for (AigLit c : constraints) fs->solver->addUnit(fs->now(c));
@@ -383,7 +382,7 @@ struct PdrSearch {
         // leave the premise.
         SatSolver solver;
         CountSolverWork count{solver, stats};
-        if (opts.watchdog) solver.bindWatchdog(opts.watchdog);
+        solver.bindDeadline(opts.deadline);
         Unroller un(aig, solver, Unroller::Init::Free);
         for (AigLit c : constraints) {
             solver.addUnit(un.lit(0, c));
@@ -509,8 +508,8 @@ struct PdrSearch {
         return cube;
     }
 
-    /// The unwind path for a raised cancellation token. Soundness note:
-    /// once the token is set, every SAT call reports Interrupted, which
+    /// The unwind path for an expired deadline. Soundness note: once the
+    /// deadline expired, every SAT call reports Interrupted, which
     /// consecution()/badState() surface as "not inductive"/"no bad state"
     /// — each individually safe (they only suppress progress), but the
     /// loops below must never *conclude* from such answers. Hence the
@@ -534,7 +533,7 @@ struct PdrSearch {
         {
             SatSolver s0;
             CountSolverWork count{s0, stats};
-            if (opts.watchdog) s0.bindWatchdog(opts.watchdog);
+            s0.bindDeadline(opts.deadline);
             Unroller u0(aig, s0, Unroller::Init::Reset);
             std::vector<SatLit> assumptions{u0.lit(0, bad)};
             for (AigLit c : constraints) s0.addUnit(u0.lit(0, c));

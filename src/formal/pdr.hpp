@@ -25,12 +25,12 @@
 // cube names the state its cone depends on, not every latch of the design.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "formal/aig.hpp"
+#include "robust/deadline.hpp"
 
 namespace autosva::formal {
 
@@ -61,13 +61,13 @@ struct PdrOptions {
     /// identical result — this is the perturbation-fuzz hook proving it,
     /// not a tuning knob.
     uint64_t perturbSeed = 0;
-    /// Cancellation token of the wall-clock watchdog (robust/watchdog.hpp),
-    /// shared by every solver this search creates (frame solvers, seed
-    /// validation, the level-0 check). When it is raised, in-flight SAT
-    /// calls return Interrupted at their next conflict boundary and the
-    /// search unwinds with PdrResult::interrupted — never a fabricated
-    /// verdict. Null = no deadline.
-    const std::atomic<bool>* watchdog = nullptr;
+    /// Deadline (robust/deadline.hpp) bound into every solver this search
+    /// creates (frame solvers, seed validation, the level-0 check) and
+    /// checked between its steps. Once it expires, in-flight SAT calls
+    /// return Interrupted at their next conflict boundary and the search
+    /// unwinds with PdrResult::interrupted — never a fabricated verdict.
+    /// Null = no deadline.
+    const robust::Deadline* deadline = nullptr;
 };
 
 /// Observability counters of one pdrCheck call (aggregated into
@@ -102,7 +102,7 @@ struct PdrResult {
     /// an engine artifact of the search, not a semantic depth — reports
     /// treat it as provenance, never as part of the canonical verdict.
     int depth = -1;
-    /// Kind::Unknown only: the search was cancelled (PdrOptions::watchdog,
+    /// Kind::Unknown only: the search was cancelled (PdrOptions::deadline,
     /// or an injected Interrupted answer), not exhausted. Never adopted as
     /// a verdict.
     bool interrupted = false;

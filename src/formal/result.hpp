@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "robust/deadline.hpp"
 #include "rtlir/design.hpp"
 
 namespace autosva::obs {
@@ -38,19 +39,10 @@ enum class Status {
 
 [[nodiscard]] const char* statusName(Status s);
 
-/// Why an Unknown verdict is Unknown. None is the classic bounds-exhausted
-/// Unknown — a *deterministic* function of the workload and options, safe
-/// to cache and covered by the canonical-identity contract. Every other
-/// reason is wall-clock- or operator-dependent (the run was *degraded*):
-/// the verdict is still sound (never a wrong answer, only a withheld one)
-/// but is excluded from the identity contract and never stored in the
-/// proof cache — a timeout must not poison a later warm rerun.
-enum class UnknownReason : uint8_t {
-    None = 0,    ///< Bounds/budget exhausted deterministically.
-    Timeout,     ///< Per-obligation deadline hit (--obligation-timeout).
-    RunBudget,   ///< Whole-run deadline hit (--time-budget).
-    Interrupted, ///< Orderly external stop (SIGINT/SIGTERM).
-};
+/// Why an Unknown verdict is Unknown: the cause the obligation's deadline
+/// latched, or None for the deterministic bounds-exhausted Unknown (see
+/// robust::StopCause).
+using UnknownReason = robust::StopCause;
 
 [[nodiscard]] const char* unknownReasonName(UnknownReason r);
 
@@ -144,7 +136,7 @@ struct EngineOptions {
     /// at once and answer to timeBudgetSeconds instead.
     double obligationTimeoutSeconds = 0.0;
     /// External orderly-stop flag (the CLI's SIGINT/SIGTERM handler sets
-    /// it); polled by the watchdog. The pointee must outlive the run.
+    /// it); the run's deadline checks it. The pointee must outlive the run.
     const std::atomic<bool>* stopFlag = nullptr;
 };
 
@@ -202,8 +194,8 @@ struct EngineStats {
     /// Wall clock of the liveness phase (frontier + the PDR lemma chain).
     double phaseBSeconds = 0.0;
     /// Robustness observability (the --stats "robust:" line): obligations
-    /// degraded to Unknown by a deadline or stop, and why the run token
-    /// fired (0 = it didn't; else a formal::UnknownReason value).
+    /// degraded to Unknown by a deadline or stop, and the cause the run's
+    /// deadline latched (a formal::UnknownReason value; 0 = none).
     uint64_t deadlineDegraded = 0;
     uint64_t runStopCause = 0;
     /// Proof-cache degradation: non-empty when the cache dropped to

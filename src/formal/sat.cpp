@@ -618,9 +618,9 @@ SatResult SatSolver::solve(const std::vector<SatLit>& assumptions) {
     if (!ok_) return SatResult::Unsat;
     cancelUntil(0);
     if (stopRequested()) return SatResult::Interrupted;
-    // Fault injection: a spurious Interrupted with no token set, modelling
-    // a cancelled-from-outside solve at an arbitrary point in the run.
-    // Every caller must treat it exactly like token cancellation: degrade
+    // Fault injection: a spurious Interrupted with no deadline expired,
+    // modelling a cancelled-from-outside solve at an arbitrary point in the
+    // run. Every caller must treat it exactly like a deadline: degrade
     // to Unknown or retry, never adopt a verdict from it.
     if (robust::faultFire(robust::FaultSite::SolverInterrupt))
         return SatResult::Interrupted;

@@ -36,11 +36,12 @@
 // change the variable order, and with it the search.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
+
+#include "robust/deadline.hpp"
 
 namespace autosva::formal {
 
@@ -171,21 +172,19 @@ public:
     /// Duplicate / level-0-false literals stripped at addClause() entry.
     [[nodiscard]] uint64_t hygieneLitsDropped() const { return hygieneLitsDropped_; }
 
-    // -- Asynchronous cancellation ------------------------------------------
-    // One owner: the wall-clock watchdog (robust/watchdog.hpp), whose token
-    // also carries SIGINT/SIGTERM (EngineOptions::stopFlag). While the bound
-    // token is raised, every solve() returns Interrupted at its next
+    // -- Cancellation -------------------------------------------------------
+    // One source: a robust::Deadline (the run budget, an obligation timeout
+    // or SIGINT/SIGTERM through EngineOptions::stopFlag). Once the bound
+    // deadline has expired, every solve() returns Interrupted at its next
     // conflict/restart boundary (or immediately on entry); the solver is
-    // left at decision level 0 and answers normally again once the token is
-    // lowered or unbound. The token is the only state another thread
-    // touches while solve() runs.
+    // left at decision level 0 and answers normally again once it is
+    // unbound. An expired deadline stays expired. The deadline's stop flag
+    // is the only state another thread touches while solve() runs.
 
-    /// Binds (or, with nullptr, unbinds) the watchdog deadline token. The
+    /// Binds (or, with nullptr, unbinds) the deadline solve() checks. The
     /// pointee must outlive the binding.
-    void bindWatchdog(const std::atomic<bool>* token) { watchdogStop_ = token; }
-    [[nodiscard]] bool stopRequested() const {
-        return watchdogStop_ && watchdogStop_->load(std::memory_order_relaxed);
-    }
+    void bindDeadline(const robust::Deadline* deadline) { deadline_ = deadline; }
+    [[nodiscard]] bool stopRequested() const { return deadline_ && deadline_->expired(); }
 
 private:
     friend struct SatSolverTestPeer; ///< White-box access for tests/test_sat.cpp.
@@ -299,7 +298,7 @@ private:
     uint64_t hygieneDrops_ = 0;
     uint64_t hygieneLitsDropped_ = 0;
     size_t maxLearnts_ = 4000;
-    const std::atomic<bool>* watchdogStop_ = nullptr;
+    const robust::Deadline* deadline_ = nullptr;
 };
 
 inline bool modelBit(const SatSolver& solver, SatLit lit) {

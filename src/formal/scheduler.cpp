@@ -6,6 +6,7 @@
 #include <functional>
 #include <iterator>
 #include <mutex>
+#include <optional>
 #include <random>
 #include <thread>
 
@@ -156,9 +157,10 @@ cache::Fingerprint jobFingerprint(const ProofContext& ctx, const ObligationJob& 
     return cache::fingerprintCone(ctx.aig, roots, digest);
 }
 
-/// Adopts a cached verdict if it is shape-plausible for this job; a reject
-/// degrades to a miss (full proof), never to a wrong report.
-bool applyArtifact(cache::ProofArtifact&& art, ObligationJob& job) {
+/// True when a cached verdict is shape-plausible for this job; the cache
+/// counts a reject as a miss, which runs the full proof, never a wrong
+/// report.
+bool adoptable(const cache::ProofArtifact& art, const ObligationJob& job) {
     switch (art.status) {
     case Status::Failed:
         if (job.coverMode || art.trace.inputs.empty()) return false;
@@ -177,10 +179,6 @@ bool applyArtifact(cache::ProofArtifact&& art, ObligationJob& job) {
     case Status::Skipped:
         return false;
     }
-    job.result.status = art.status;
-    job.result.depth = art.depth;
-    job.result.trace = std::move(art.trace);
-    job.result.cached = true;
     return true;
 }
 
@@ -262,38 +260,15 @@ ObligationScheduler::ObligationScheduler(const ir::Design& design, EngineOptions
 
 ObligationScheduler::~ObligationScheduler() = default;
 
-void ObligationScheduler::settleDeadline(ObligationJob& job,
-                                         const robust::Watchdog::JobGuard& guard) const {
-    job.watchdogStop = nullptr;
-    if (job.result.status != Status::Unknown) return;
-    const robust::Watchdog::Cause cause = guard.cause();
-    if (cause == robust::Watchdog::Cause::None) return;
-    switch (cause) {
-    case robust::Watchdog::Cause::JobTimeout:
-        job.result.unknownReason = UnknownReason::Timeout;
-        break;
-    case robust::Watchdog::Cause::RunBudget:
-        job.result.unknownReason = UnknownReason::RunBudget;
-        break;
-    case robust::Watchdog::Cause::ExternalStop:
-    case robust::Watchdog::Cause::None:
-        job.result.unknownReason = UnknownReason::Interrupted;
-        break;
-    }
-    if (opts_.trace)
-        opts_.trace->instant("robust", "deadline", static_cast<int64_t>(job.index),
-                             {{"cause", static_cast<uint64_t>(cause)}});
-}
-
-bool ObligationScheduler::cacheStorable(const ObligationJob& job) const {
+bool ObligationScheduler::cacheStorable(const ProofContext& ctx, const ObligationJob& job) {
     if (job.result.unknownReason != UnknownReason::None) return false;
     if (job.result.status == Status::Unknown) {
-        // A fired run token leaves a BMC sweep's jobs Unknown without a
-        // reason: no guard covers a sweep, and the Frontier store comes
-        // before the chain link that would tag the job.
-        if (watchdog_ && watchdog_->runExpired()) return false;
+        // An expired run deadline leaves a BMC sweep's jobs Unknown without
+        // a reason: no job deadline covers a sweep, and the Frontier store
+        // comes before the chain link that would tag the job.
+        if (ctx.runDeadline && ctx.runDeadline->cause() != UnknownReason::None) return false;
         // An injected solver interrupt degrades a job to Unknown without a
-        // watchdog cause; keep those out of the cache too.
+        // deadline cause; keep those out of the cache too.
         robust::FaultPlan* plan = robust::FaultPlan::active();
         if (plan != nullptr && plan->fired(robust::FaultSite::SolverInterrupt)) return false;
     }
@@ -335,7 +310,13 @@ bool ObligationScheduler::tryServeFromCache(const ProofContext& ctx, ObligationJ
                                             cache::Stage stage, bool allowSeeding) const {
     job.fp = jobFingerprint(ctx, job, stage);
     job.structKey = cache::structKey(job.ob->name, job.ob->kind, stage, structSalt_);
-    if (auto art = cache_->lookup(job.fp); art && applyArtifact(std::move(*art), job)) {
+    auto art = cache_->lookup(
+        job.fp, [&job](const cache::ProofArtifact& a) { return adoptable(a, job); });
+    if (art) {
+        job.result.status = art->status;
+        job.result.depth = art->depth;
+        job.result.trace = std::move(art->trace);
+        job.result.cached = true;
         if (opts_.trace)
             opts_.trace->instant("cache", "hit", static_cast<int64_t>(job.index),
                                  {{"status", static_cast<uint64_t>(job.result.status)}});
@@ -347,7 +328,7 @@ bool ObligationScheduler::tryServeFromCache(const ProofContext& ctx, ObligationJ
 }
 
 void ObligationScheduler::storeJob(const ProofContext& ctx, const ObligationJob& job) const {
-    if (cache_ && cacheStorable(job))
+    if (cache_ && cacheStorable(ctx, job))
         cache_->store(job.fp, makeArtifact(job.structKey, job, ctx.aig));
 }
 
@@ -390,28 +371,36 @@ void ObligationScheduler::runPdrStage(const ProofContext& baseCtx,
     parallelFor(opts_.jobs, order.size(), [&](int w, size_t t) {
         obs::LaneScope lane(w);
         ObligationJob& job = *order[t];
-        robust::Watchdog::JobGuard guard =
-            watchdog_ ? watchdog_->guardJob() : robust::Watchdog::JobGuard{};
-        job.watchdogStop = guard.token();
+        if (baseCtx.runDeadline == nullptr) {
+            runPdr(baseCtx, job);
+            return;
+        }
+        // The job's --obligation-timeout clock starts now.
+        const robust::Deadline deadline(opts_.obligationTimeoutSeconds, UnknownReason::Timeout,
+                                        nullptr, baseCtx.runDeadline);
+        job.deadline = &deadline;
         runPdr(baseCtx, job);
-        settleDeadline(job, guard);
+        job.deadline = nullptr;
+        const UnknownReason cause = deadline.cause();
+        if (job.result.status != Status::Unknown || cause == UnknownReason::None) return;
+        job.result.unknownReason = cause;
+        if (opts_.trace)
+            opts_.trace->instant("robust", "deadline", static_cast<int64_t>(job.index),
+                                 {{"cause", static_cast<uint64_t>(cause)}});
     });
 }
 
 std::vector<PropertyResult> ObligationScheduler::run() {
     util::Stopwatch total;
-    // Deadline enforcement: one scanner thread for the whole run. Created
-    // even for a pure external-stop configuration so SIGINT/SIGTERM drain
+    // The run's deadline; its --time-budget clock starts now. Built for a
+    // pure external-stop configuration too, so SIGINT/SIGTERM drain
     // through the same orderly cancellation path as a budget expiry.
-    watchdog_.reset();
+    // Without any of the three, solvers keep a null deadline.
+    std::optional<robust::Deadline> deadline;
     if (opts_.timeBudgetSeconds > 0.0 || opts_.obligationTimeoutSeconds > 0.0 ||
-        opts_.stopFlag != nullptr) {
-        robust::Watchdog::Config wcfg;
-        wcfg.runBudgetSeconds = opts_.timeBudgetSeconds;
-        wcfg.obligationTimeoutSeconds = opts_.obligationTimeoutSeconds;
-        wcfg.externalStop = opts_.stopFlag;
-        watchdog_ = std::make_unique<robust::Watchdog>(wcfg);
-    }
+        opts_.stopFlag != nullptr)
+        deadline.emplace(opts_.timeBudgetSeconds, UnknownReason::RunBudget, opts_.stopFlag);
+    const robust::Deadline* runDeadline = deadline ? &*deadline : nullptr;
     const auto& obligations = design_.obligations();
     obs::Recorder* rec = opts_.trace;
     if (rec) {
@@ -493,8 +482,8 @@ std::vector<PropertyResult> ObligationScheduler::run() {
     util::Stopwatch phaseATimer;
     obs::Span phaseASpan(rec, "phase", "phase-a");
     phaseASpan.arg("jobs", phaseA.size());
-    ProofContext baseCtx{design_, bb_, bb_.aig, constraints_, opts_, kAigFalse, &shared_};
-    if (watchdog_) baseCtx.runStop = watchdog_->runToken();
+    ProofContext baseCtx{design_, bb_, bb_.aig, constraints_, opts_, kAigFalse,
+                         &shared_, runDeadline};
     runPhaseBatched(baseCtx, phaseA, cache::Stage::FullPipeline);
     std::vector<ObligationJob*> openA;
     for (ObligationJob* job : phaseA)
@@ -520,9 +509,8 @@ std::vector<PropertyResult> ObligationScheduler::run() {
             if (job->result.status == Status::Proven && !job->onLiveAig)
                 liveConstraints.push_back(aigNot(job->bad));
         }
-        ProofContext liveCtx{design_,  bb_,   live_->aig(), liveConstraints,
-                             opts_,    live_->saveOracle(), &shared_};
-        if (watchdog_) liveCtx.runStop = watchdog_->runToken();
+        ProofContext liveCtx{design_, bb_, live_->aig(), liveConstraints, opts_,
+                             live_->saveOracle(), &shared_, runDeadline};
         // Phase B gets fresh BMC batches: the live AIG and the
         // strengthened constraint set invalidate phase A's encodings, and
         // the lemma chain below mutates the live AIG — shared unrollers
@@ -626,7 +614,7 @@ std::vector<PropertyResult> ObligationScheduler::run() {
         stats_.cacheSeededLemmas = cs.seededLemmas;
         stats_.cacheDegradedReason = cache_->degradedReason();
     }
-    if (watchdog_) stats_.runStopCause = static_cast<uint64_t>(watchdog_->runCause());
+    if (runDeadline) stats_.runStopCause = static_cast<uint64_t>(runDeadline->cause());
     std::vector<PropertyResult> results;
     results.reserve(jobs.size());
     for (ObligationJob& job : jobs) {

@@ -43,7 +43,6 @@
 #include "formal/bitblast.hpp"
 #include "formal/result.hpp"
 #include "formal/strategy.hpp"
-#include "robust/watchdog.hpp"
 #include "rtlir/design.hpp"
 
 namespace autosva::cache {
@@ -91,19 +90,16 @@ private:
     void storeJob(const ProofContext& ctx, const ObligationJob& job) const;
     /// The PDR stage over one barrier's still-open jobs (`open`, in
     /// declaration order; a single job per lemma-chain link in phase B):
-    /// one runPdr per job in parallel, each under its own watchdog guard
-    /// (inert when no deadline is configured).
+    /// one runPdr per job in parallel. When the run has a deadline, each
+    /// job runs under its own job deadline, and a job it leaves Unknown
+    /// takes the cause it latched as its UnknownReason.
     void runPdrStage(const ProofContext& baseCtx, const std::vector<ObligationJob*>& open);
 
-    /// End-of-guard bookkeeping: clears the job's token binding and, when
-    /// the guard fired and the job stayed Unknown, records the degradation
-    /// reason (timeout / run-budget / interrupt) on the result.
-    void settleDeadline(ObligationJob& job, const robust::Watchdog::JobGuard& guard) const;
     /// True when the job's verdict may enter the proof cache. Deadline- or
     /// fault-degraded Unknowns must not, and neither may any Unknown once
-    /// the run token fired: a cached "Unknown" would poison warm reruns
-    /// that have the time to decide the obligation.
-    [[nodiscard]] bool cacheStorable(const ObligationJob& job) const;
+    /// the run's deadline latched a cause: a cached "Unknown" would poison
+    /// warm reruns that have the time to decide the obligation.
+    [[nodiscard]] static bool cacheStorable(const ProofContext& ctx, const ObligationJob& job);
 
     const ir::Design& design_;
     EngineOptions opts_;
@@ -115,9 +111,6 @@ private:
     uint64_t structSalt_ = 0; ///< Design-identity salt for near-miss keys.
     std::unordered_map<std::string, uint32_t> baseLatchNames_;
     std::unordered_map<std::string, uint32_t> liveLatchNames_;
-    /// Deadline/cancellation scanner; null unless a time budget, an
-    /// obligation timeout, or an external stop flag is configured.
-    std::unique_ptr<robust::Watchdog> watchdog_;
     SharedStats shared_;
     EngineStats stats_;
 };

@@ -148,11 +148,11 @@ struct ObligationJob {
     /// lookup; the stage's store records under the same key.
     cache::Fingerprint fp;
     uint64_t structKey = 0; ///< Near-miss key of the same lookup.
-    /// Wall-clock deadline token of the watchdog guard currently covering
-    /// this job (null = no deadline). The scheduler sets it for exactly the
-    /// span of the owning guard; strategies bind it into every solver they
-    /// build for the job so a fired deadline interrupts in-flight solves.
-    const std::atomic<bool>* watchdogStop = nullptr;
+    /// The job's deadline while its PDR stage runs (null = no deadline, or
+    /// outside the stage). The scheduler sets it for exactly that span;
+    /// strategies bind it into every solver they build for the job so an
+    /// expired deadline interrupts in-flight solves.
+    const robust::Deadline* deadline = nullptr;
     PropertyResult result;
 };
 
@@ -166,11 +166,11 @@ struct ProofContext {
     const EngineOptions& opts;
     AigLit saveOracle = kAigFalse;          ///< l2s save input (live AIG only).
     SharedStats* stats = nullptr;
-    /// Run-level deadline token (watchdog runToken): fires on --time-budget
-    /// expiry or an external stop, never on per-job timeouts. Solvers that
-    /// serve many jobs at once (the batched-BMC sweep solver) bind this
-    /// instead of a per-job token. Null = no run deadline.
-    const std::atomic<bool>* runStop = nullptr;
+    /// The run's deadline: expires on --time-budget or an external stop,
+    /// never on per-job timeouts. Solvers that serve many jobs at once (the
+    /// batched-BMC sweep solver) bind it instead of a job's deadline, and
+    /// each job deadline checks it first. Null = no run deadline.
+    const robust::Deadline* runDeadline = nullptr;
 };
 
 /// Bounded model checking from the initial state on a throwaway solver:
@@ -194,7 +194,7 @@ void runBmcFresh(const ProofContext& ctx, ObligationJob& job, int maxDepth);
 void runBmcBatch(const ProofContext& ctx, const std::vector<ObligationJob*>& jobs);
 
 /// One IC3/PDR search of `job.pdrBad` at opts.pdrMaxQueries, with the
-/// job's seeds, the perturbation seed and `job.watchdogStop`. Folds the
+/// job's seeds, the perturbation seed and `job.deadline`. Folds the
 /// search's solves and PDR counters into ctx.stats and its `strategy/pdr`
 /// span, and maps the verdict onto the job: Proven / Unreachable with the
 /// invariant, a counterexample replayed by bmcFromReset on the original

@@ -80,7 +80,7 @@ CexTrace extractCexTrace(const ProofContext& ctx, Unroller& un, SatSolver& solve
 uint64_t bmcFromReset(const ProofContext& ctx, ObligationJob& job, int maxDepth) {
     uint64_t queries = 0;
     SatSolver solver;
-    if (job.watchdogStop) solver.bindWatchdog(job.watchdogStop);
+    solver.bindDeadline(job.deadline);
     Unroller un(ctx.aig, solver, Unroller::Init::Reset);
     int lastConstrained = -1;
     for (int k = 0; k <= maxDepth; ++k) {
@@ -129,9 +129,9 @@ void runBmcBatch(const ProofContext& ctx, const std::vector<ObligationJob*>& job
     std::unordered_map<const ObligationJob*, std::pair<uint64_t, uint64_t>> attribution;
     SatSolver solver;
     // The sweep solver serves every job in the batch, so it answers to the
-    // run-level deadline only (per-job wall attribution inside a lockstep
-    // sweep would overcharge idle batch-mates — see robust/watchdog.hpp).
-    if (ctx.runStop) solver.bindWatchdog(ctx.runStop);
+    // run's deadline only (per-job wall attribution inside a lockstep sweep
+    // would overcharge idle batch-mates — see robust/deadline.hpp).
+    solver.bindDeadline(ctx.runDeadline);
     Unroller un(ctx.aig, solver, Unroller::Init::Reset);
     int lastConstrained = -1;
     std::vector<ObligationJob*> open(jobs.begin(), jobs.end());

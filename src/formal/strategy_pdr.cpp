@@ -19,7 +19,7 @@ void runPdr(const ProofContext& ctx, ObligationJob& job) {
     PdrOptions pdrOpts;
     pdrOpts.maxQueries = ctx.opts.pdrMaxQueries;
     pdrOpts.perturbSeed = ctx.opts.perturbSeed;
-    pdrOpts.watchdog = job.watchdogStop;
+    pdrOpts.deadline = job.deadline;
     if (!job.pdrSeeds.empty()) pdrOpts.seedCubes = &job.pdrSeeds;
     const AigLit bad = job.pdrBad != kAigFalse ? job.pdrBad : job.bad;
     PdrResult pr;

@@ -6,34 +6,6 @@
 
 #include "sva/report.hpp"
 
-// The leading fields of the manifest's "engine" object, in emission
-// order: X(json_key, engine_stats_member).
-#define AUTOSVA_ENGINE_JSON_U64_FIELDS(X)                                                    \
-    X(sat_calls, satCalls)                                                                   \
-    X(conflicts, conflicts)                                                                  \
-    X(pdr_frames, pdrFramesOpened)                                                           \
-    X(pdr_cubes, pdrCubesBlocked)                                                            \
-    X(pdr_gen_drops, pdrGenDropAttempts)                                                     \
-    X(pdr_seeds, pdrSeedCubesAdmitted)                                                       \
-    X(pdr_lifted, pdrLiftedLiterals)                                                         \
-    X(pdr_conflicts, pdrConflicts)                                                           \
-    X(pdr_propagations, pdrPropagations)                                                     \
-    X(pdr_q_bad, pdrBadQueries)                                                              \
-    X(pdr_q_block, pdrBlockQueries)                                                          \
-    X(pdr_q_validate, pdrValidateQueries)                                                    \
-    X(pdr_q_drop, pdrDropQueries)                                                            \
-    X(pdr_q_push, pdrPushQueries)                                                            \
-    X(pdr_q_side, pdrSideSolves)                                                             \
-    X(hygiene_drops, hygieneClausesDropped)                                                  \
-    X(live_clauses, solverLiveClauses)                                                       \
-    X(learnt_clauses, solverLearntClauses)                                                   \
-    X(peak_rss_kb, peakRssKb)
-
-// Wall-clock fields that follow them, emitted with %.6f formatting.
-#define AUTOSVA_ENGINE_JSON_DOUBLE_FIELDS(X)                                                 \
-    X(phase_a_s, phaseASeconds)                                                              \
-    X(phase_b_s, phaseBSeconds)
-
 namespace autosva::obs {
 
 namespace {
@@ -71,18 +43,28 @@ void writeStatsJson(std::ostream& out, const sva::VerificationReport& report) {
     const formal::EngineStats& es = report.engineStats;
     out << "{\"schema\": \"autosva-run-v1\", \"dut\": \"";
     escapeTo(out, report.dutName);
-    out << "\", \"engine\": {";
-    bool first = true;
-#define X(json, member)                                                                      \
-    out << (first ? "" : ", ") << "\"" #json "\": " << es.member;                            \
-    first = false;
-    AUTOSVA_ENGINE_JSON_U64_FIELDS(X)
-#undef X
-#define X(json, member)                                                                      \
-    out << ", \"" #json "\": ";                                                              \
-    emitDouble(out, es.member);
-    AUTOSVA_ENGINE_JSON_DOUBLE_FIELDS(X)
-#undef X
+    out << "\", \"engine\": {\"sat_calls\": " << es.satCalls
+        << ", \"conflicts\": " << es.conflicts
+        << ", \"pdr_frames\": " << es.pdrFramesOpened
+        << ", \"pdr_cubes\": " << es.pdrCubesBlocked
+        << ", \"pdr_gen_drops\": " << es.pdrGenDropAttempts
+        << ", \"pdr_seeds\": " << es.pdrSeedCubesAdmitted
+        << ", \"pdr_lifted\": " << es.pdrLiftedLiterals
+        << ", \"pdr_conflicts\": " << es.pdrConflicts
+        << ", \"pdr_propagations\": " << es.pdrPropagations
+        << ", \"pdr_q_bad\": " << es.pdrBadQueries
+        << ", \"pdr_q_block\": " << es.pdrBlockQueries
+        << ", \"pdr_q_validate\": " << es.pdrValidateQueries
+        << ", \"pdr_q_drop\": " << es.pdrDropQueries
+        << ", \"pdr_q_push\": " << es.pdrPushQueries
+        << ", \"pdr_q_side\": " << es.pdrSideSolves
+        << ", \"hygiene_drops\": " << es.hygieneClausesDropped
+        << ", \"live_clauses\": " << es.solverLiveClauses
+        << ", \"learnt_clauses\": " << es.solverLearntClauses
+        << ", \"peak_rss_kb\": " << es.peakRssKb << ", \"phase_a_s\": ";
+    emitDouble(out, es.phaseASeconds);
+    out << ", \"phase_b_s\": ";
+    emitDouble(out, es.phaseBSeconds);
     out << ", \"total_s\": ";
     emitDouble(out, es.totalSeconds);
     out << ", \"propagations\": " << es.propagations

@@ -686,6 +686,25 @@ TEST(CacheIntegration, CorruptedCacheFallsBackToFullProof) {
     EXPECT_EQ(garbage.canonical(), reference.canonical());
 }
 
+// A record that decodes but that the scheduler refuses to adopt (no job
+// may be served a Skipped verdict) is a miss, in the counters as in the
+// report: the job runs the full pipeline, and no hit is counted for it.
+TEST(CacheIntegration, RejectedRecordCountsAsAMiss) {
+    TempDir dir("rejected");
+    sva::VerificationReport cold = runMixed(kMixedRtl, dir.str());
+    LogImage log(dir.logPath());
+    ASSERT_FALSE(log.records.empty());
+    for (size_t record : log.records)
+        log.setPayloadU32(record, /*offset=*/8, static_cast<uint32_t>(Status::Skipped));
+    log.write(dir.logPath());
+
+    sva::VerificationReport warm = runMixed(kMixedRtl, dir.str());
+    EXPECT_EQ(warm.canonical(), cold.canonical());
+    EXPECT_GT(warm.engineStats.cacheLookups, 0u);
+    EXPECT_EQ(warm.engineStats.cacheHits, 0u);
+    EXPECT_EQ(warm.numCached(), 0u);
+}
+
 // A PDR-shaped proof whose update function we can edit to exercise the
 // near-miss path: the counter wraps at `wrap`, so q == 12 is unreachable
 // for small wraps but NOT k-inductive (unreachable states 8..11 march

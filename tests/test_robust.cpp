@@ -1,6 +1,6 @@
 // Robustness-layer tests: deterministic fault injection (site-addressed
-// FaultPlan), the wall-clock watchdog (per-obligation timeout, run budget,
-// external stop), graceful cache degradation under injected and real I/O
+// FaultPlan), deadlines (per-obligation timeout, run budget, external stop,
+// the latched cause), graceful cache degradation under injected and real I/O
 // failures, deadline-degraded engine runs that still cover every
 // obligation, and crash recovery — a budget-killed run must leave a cache a
 // warm rerun completes from, never a poisoned one.
@@ -19,8 +19,8 @@
 #include "core/autosva.hpp"
 #include "designs/designs.hpp"
 #include "formal/scheduler.hpp"
+#include "robust/deadline.hpp"
 #include "robust/faultinject.hpp"
-#include "robust/watchdog.hpp"
 #include "sva/report.hpp"
 
 namespace {
@@ -29,10 +29,11 @@ using namespace autosva;
 using formal::EngineOptions;
 using formal::Status;
 using formal::UnknownReason;
+using robust::Deadline;
 using robust::FaultPlan;
 using robust::FaultScope;
 using robust::FaultSite;
-using robust::Watchdog;
+using robust::StopCause;
 
 namespace fs = std::filesystem;
 
@@ -59,20 +60,6 @@ std::unique_ptr<ir::Design> elabDesignWithFT(const designs::DesignInfo& info) {
     core::FormalTestbench ft = core::generateFT(info.rtl, {}, diags);
     return core::elaborateWithFT(designs::rtlSources(info), ft, {}, diags,
                                  /*tieReset=*/true);
-}
-
-/// Spin-waits (with a hard deadline) until `pred` holds; returns whether
-/// it ever did. Keeps the timing-sensitive watchdog tests flake-free: we
-/// assert "fires eventually, with the right cause", never exact latency.
-template <typename Pred>
-bool eventually(Pred pred, double seconds = 5.0) {
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::duration<double>(seconds);
-    while (std::chrono::steady_clock::now() < deadline) {
-        if (pred()) return true;
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    return pred();
 }
 
 cache::ProofArtifact provenArtifact(uint64_t structKey) {
@@ -140,66 +127,76 @@ TEST(FaultPlan, DisarmedProcessNeverFires) {
 }
 
 // ---------------------------------------------------------------------------
-// Watchdog
+// Deadlines
 // ---------------------------------------------------------------------------
 
-TEST(Robust, WatchdogFiresObligationTimeoutWithJobCause) {
-    Watchdog::Config cfg;
-    cfg.obligationTimeoutSeconds = 0.05;
-    Watchdog wd(cfg);
-    Watchdog::JobGuard guard = wd.guardJob();
-    ASSERT_NE(guard.token(), nullptr);
-    EXPECT_FALSE(guard.token()->load());
-    ASSERT_TRUE(eventually([&] { return guard.token()->load(); }));
-    EXPECT_EQ(guard.cause(), Watchdog::Cause::JobTimeout);
-    EXPECT_GE(wd.jobTimeouts(), 1u);
-    // A per-job deadline never fires the run-level token.
-    EXPECT_FALSE(wd.runExpired());
-    EXPECT_EQ(wd.runCause(), Watchdog::Cause::None);
+// A deadline is checked, not enforced by a thread, so these tests are
+// synchronous: sleep past a limit, then check.
+constexpr auto kPastLimit = std::chrono::milliseconds(30);
+
+TEST(Robust, DeadlineLatchesTheObligationTimeoutOnTheJobOnly) {
+    const Deadline run(0.0, StopCause::RunBudget);
+    const Deadline job(0.01, StopCause::Timeout, nullptr, &run);
+    const Deadline slowJob(600.0, StopCause::Timeout, nullptr, &run);
+    EXPECT_FALSE(slowJob.expired());
+    EXPECT_EQ(slowJob.cause(), StopCause::None);
+    std::this_thread::sleep_for(kPastLimit);
+    EXPECT_TRUE(job.expired());
+    EXPECT_EQ(job.cause(), StopCause::Timeout);
+    // A job's timeout never expires the run, nor a job beside it.
+    EXPECT_FALSE(run.expired());
+    EXPECT_EQ(run.cause(), StopCause::None);
+    EXPECT_FALSE(slowJob.expired());
 }
 
-TEST(Robust, WatchdogRunBudgetFiresActiveAndFutureGuards) {
-    Watchdog::Config cfg;
-    cfg.runBudgetSeconds = 0.05;
-    Watchdog wd(cfg);
-    Watchdog::JobGuard active = wd.guardJob();
-    ASSERT_TRUE(eventually([&] { return wd.runExpired(); }));
-    EXPECT_EQ(wd.runCause(), Watchdog::Cause::RunBudget);
-    ASSERT_TRUE(eventually([&] { return active.token()->load(); }));
-    EXPECT_EQ(active.cause(), Watchdog::Cause::RunBudget);
-    // Guards acquired after expiry start pre-fired: remaining work drains
-    // as immediate Interrupted results instead of running to completion.
-    Watchdog::JobGuard late = wd.guardJob();
-    ASSERT_NE(late.token(), nullptr);
-    EXPECT_TRUE(late.token()->load());
-    EXPECT_EQ(late.cause(), Watchdog::Cause::RunBudget);
+TEST(Robust, DeadlineRunBudgetStopsActiveAndLaterJobs) {
+    const Deadline run(0.01, StopCause::RunBudget);
+    const Deadline active(0.01, StopCause::Timeout, nullptr, &run);
+    std::this_thread::sleep_for(kPastLimit);
+    // Both limits passed: the job checks the run first, and the run-level
+    // cause it sees is latched on the run too.
+    EXPECT_TRUE(active.expired());
+    EXPECT_EQ(active.cause(), StopCause::RunBudget);
+    EXPECT_EQ(run.cause(), StopCause::RunBudget);
+    // A job that starts after expiry stops at its first check.
+    const Deadline late(600.0, StopCause::Timeout, nullptr, &run);
+    EXPECT_TRUE(late.expired());
+    EXPECT_EQ(late.cause(), StopCause::RunBudget);
 }
 
-TEST(Robust, WatchdogRelaysExternalStop) {
+TEST(Robust, DeadlineLatchesAnExternalStop) {
     std::atomic<bool> stop{false};
-    Watchdog::Config cfg;
-    cfg.externalStop = &stop;
-    Watchdog wd(cfg);
-    Watchdog::JobGuard guard = wd.guardJob();
-    // No deadlines configured: nothing fires until the flag is raised.
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
-    EXPECT_FALSE(wd.runExpired());
-    EXPECT_FALSE(guard.token()->load());
+    const Deadline run(0.0, StopCause::RunBudget, &stop);
+    const Deadline job(0.0, StopCause::Timeout, nullptr, &run);
+    // No time limit: nothing expires until the flag is raised.
+    std::this_thread::sleep_for(kPastLimit);
+    EXPECT_FALSE(job.expired());
+    EXPECT_FALSE(run.expired());
     stop.store(true);
-    ASSERT_TRUE(eventually([&] { return wd.runExpired(); }));
-    EXPECT_EQ(wd.runCause(), Watchdog::Cause::ExternalStop);
-    ASSERT_TRUE(eventually([&] { return guard.token()->load(); }));
-    EXPECT_EQ(guard.cause(), Watchdog::Cause::ExternalStop);
+    EXPECT_TRUE(job.expired());
+    EXPECT_EQ(job.cause(), StopCause::Interrupted);
+    EXPECT_EQ(run.cause(), StopCause::Interrupted);
+    // Latched: lowering the flag does not revive the deadline.
+    stop.store(false);
+    EXPECT_TRUE(run.expired());
+    EXPECT_TRUE(job.expired());
 }
 
-TEST(Robust, InertGuardIsSafeToUseEverywhere) {
-    // No watchdog configured: guards are null-token, None-cause, and the
-    // scheduler threads them through unconditionally.
-    Watchdog::JobGuard inert;
-    EXPECT_EQ(inert.token(), nullptr);
-    EXPECT_EQ(inert.cause(), Watchdog::Cause::None);
-    Watchdog::JobGuard moved = std::move(inert);
-    EXPECT_EQ(moved.token(), nullptr);
+TEST(Robust, DeadlineKeepsTheFirstCauseItLatched) {
+    std::atomic<bool> stop{false};
+    const Deadline run(0.01, StopCause::RunBudget, &stop);
+    std::this_thread::sleep_for(kPastLimit);
+    EXPECT_TRUE(run.expired());
+    EXPECT_EQ(run.cause(), StopCause::RunBudget);
+    stop.store(true);
+    EXPECT_TRUE(run.expired());
+    EXPECT_EQ(run.cause(), StopCause::RunBudget);
+    // Checked before the clock: a raised flag wins over a passed budget
+    // when one check finds both.
+    const Deadline both(0.01, StopCause::RunBudget, &stop);
+    std::this_thread::sleep_for(kPastLimit);
+    EXPECT_TRUE(both.expired());
+    EXPECT_EQ(both.cause(), StopCause::Interrupted);
 }
 
 // ---------------------------------------------------------------------------
@@ -357,7 +354,7 @@ TEST(Robust, TimeBudgetDegradesButCoversEveryObligation) {
     EXPECT_GT(degraded, 0u);
     EXPECT_EQ(report.engineStats.deadlineDegraded, degraded);
     EXPECT_EQ(report.engineStats.runStopCause,
-              static_cast<uint64_t>(Watchdog::Cause::RunBudget));
+              static_cast<uint64_t>(UnknownReason::RunBudget));
 }
 
 // The --time-budget contract over a ladder of budgets on the Ariane MMU at
@@ -402,7 +399,7 @@ TEST(Robust, BudgetLadderNeverContradictsTheUnbudgetedRun) {
         if (2 * budget < referenceSeconds) {
             EXPECT_GT(degraded, 0u);
             EXPECT_EQ(scheduler.stats().runStopCause,
-                      static_cast<uint64_t>(Watchdog::Cause::RunBudget));
+                      static_cast<uint64_t>(UnknownReason::RunBudget));
         }
     }
 }
@@ -423,14 +420,15 @@ TEST(Robust, PresetStopFlagDrainsRunAsInterrupted) {
         }
     }
     EXPECT_EQ(scheduler.stats().runStopCause,
-              static_cast<uint64_t>(Watchdog::Cause::ExternalStop));
+              static_cast<uint64_t>(UnknownReason::Interrupted));
 }
 
-// A fired run token leaves the BMC sweep's open jobs Unknown, and no guard
-// covers a sweep to tag them: phase B stores its Frontier records before
-// any chain link guards its job. The cache must receive no degraded
-// Unknown. A stop flag raised before the run fires the token before the
-// first sweep, so nothing is decided and nothing is stored.
+// An expired run deadline leaves the BMC sweep's open jobs Unknown, and no
+// job deadline covers a sweep to tag them: phase B stores its Frontier
+// records before any chain link gets its job deadline. The cache must
+// receive no degraded Unknown. A stop flag raised before the run stops the
+// first sweep at its first check, so nothing is decided and nothing is
+// stored.
 TEST(Robust, StoppedRunCachesOnlyDecidedVerdicts) {
     const auto& info = designs::design("ariane_mmu");
     auto design = elabDesignWithFT(info);
@@ -448,7 +446,7 @@ TEST(Robust, StoppedRunCachesOnlyDecidedVerdicts) {
     EXPECT_EQ(decided, 0u);
     EXPECT_EQ(scheduler.stats().cacheStores, 0u);
     EXPECT_EQ(scheduler.stats().runStopCause,
-              static_cast<uint64_t>(Watchdog::Cause::ExternalStop));
+              static_cast<uint64_t>(UnknownReason::Interrupted));
 }
 
 // ---------------------------------------------------------------------------

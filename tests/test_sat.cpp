@@ -9,10 +9,12 @@
 #include <thread>
 
 #include "formal/sat.hpp"
+#include "robust/deadline.hpp"
 
 namespace {
 
 using namespace autosva::formal;
+namespace robust = autosva::robust;
 
 TEST(Sat, TrivialSat) {
     SatSolver s;
@@ -189,10 +191,10 @@ TEST(Sat, SimplifyPurgesClosedClauseGroups) {
 }
 
 TEST(Sat, CrossThreadRequestStopInterruptsAndSolverStaysUsable) {
-    // The watchdog cancellation contract: another thread raising the bound
-    // token makes an in-flight solve() return Interrupted at the next
-    // conflict/restart boundary, the trail unwinds to level 0, and the
-    // solver answers again once the token is lowered.
+    // The cancellation contract: another thread raising the stop flag of
+    // the bound deadline makes an in-flight solve() return Interrupted at
+    // the next conflict/restart boundary, the trail unwinds to level 0, and
+    // the solver answers again once the deadline is unbound.
     SatSolver s;
     const int pigeons = 10, holes = 9; // Hard enough to outlive the stopper.
     std::vector<std::vector<int>> v(pigeons, std::vector<int>(holes));
@@ -208,23 +210,23 @@ TEST(Sat, CrossThreadRequestStopInterruptsAndSolverStaysUsable) {
             for (int p2 = p1 + 1; p2 < pigeons; ++p2)
                 s.addBinary(satNeg(mkSatLit(v[p1][h])), satNeg(mkSatLit(v[p2][h])));
 
-    std::atomic<bool> token{false};
-    s.bindWatchdog(&token);
-    std::thread stopper([&token] {
+    std::atomic<bool> stop{false};
+    const robust::Deadline deadline(0.0, robust::StopCause::RunBudget, &stop);
+    s.bindDeadline(&deadline);
+    std::thread stopper([&stop] {
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        token.store(true);
+        stop.store(true);
     });
     EXPECT_EQ(s.solve(), SatResult::Interrupted);
     stopper.join();
 
-    // Still raised: a fresh solve must bail immediately.
+    // Still expired: a fresh solve must bail immediately.
     EXPECT_EQ(s.solve(), SatResult::Interrupted);
 
-    // After lowering, the solver answers queries it can decide by
+    // After unbinding, the solver answers queries it can decide by
     // propagation alone (the PHP core stays too hard on purpose).
-    token.store(false);
+    s.bindDeadline(nullptr);
     EXPECT_EQ(s.solve({mkSatLit(v[0][0]), satNeg(mkSatLit(v[0][0]))}), SatResult::Unsat);
-    s.bindWatchdog(nullptr);
 }
 
 TEST(Sat, HygieneCountersAtAddClause) {
@@ -250,21 +252,22 @@ TEST(Sat, HygieneCountersAtAddClause) {
 }
 
 TEST(Sat, ExternalStopTokenInterrupts) {
-    // bindWatchdog() shares one atomic across many solvers — the per-job
-    // watchdog token every solver of a PDR search binds. A raised token
-    // interrupts at solve() entry; unbinding (or lowering the token)
-    // restores normal operation.
-    std::atomic<bool> token{false};
+    // bindDeadline() shares one deadline across many solvers — the job
+    // deadline every solver of a PDR search binds. A deadline whose stop
+    // flag is raised interrupts at solve() entry, and stays expired once
+    // the flag is lowered; unbinding restores normal operation.
+    std::atomic<bool> stop{false};
+    const robust::Deadline deadline(0.0, robust::StopCause::Interrupted, &stop);
     SatSolver s;
     int a = s.newVar(), b = s.newVar();
     s.addBinary(mkSatLit(a), mkSatLit(b));
-    s.bindWatchdog(&token);
-    token.store(true);
-    EXPECT_EQ(s.solve(), SatResult::Interrupted);
-    token.store(false);
+    s.bindDeadline(&deadline);
     EXPECT_EQ(s.solve(), SatResult::Sat);
-    token.store(true);
-    s.bindWatchdog(nullptr);
+    stop.store(true);
+    EXPECT_EQ(s.solve(), SatResult::Interrupted);
+    stop.store(false);
+    EXPECT_EQ(s.solve(), SatResult::Interrupted);
+    s.bindDeadline(nullptr);
     EXPECT_EQ(s.solve(), SatResult::Sat);
 }
 

@@ -36,10 +36,10 @@ namespace {
 using namespace autosva;
 namespace fs = std::filesystem;
 
-/// SIGINT/SIGTERM request an orderly stop: the engine's watchdog relays
-/// this flag into every in-flight solver, the run drains to a partial
-/// (degraded) report, and artifacts still flush. A second signal while the
-/// drain is in progress exits immediately.
+/// SIGINT/SIGTERM request an orderly stop: the run's deadline checks this
+/// flag wherever a solver checks for cancellation, the run drains to a
+/// partial (degraded) report, and artifacts still flush. A second signal
+/// while the drain is in progress exits immediately.
 std::atomic<bool> gStopRequested{false};
 
 extern "C" void handleStopSignal(int) {
@@ -399,15 +399,10 @@ int runReport(const std::vector<std::string>& sources,
                     static_cast<unsigned long long>(fs.sourcesParsed),
                     static_cast<unsigned long long>(fs.generatedTextReparses),
                     static_cast<unsigned long long>(fs.generatedAstReused));
-        const char* stopCause = "none";
-        switch (es.runStopCause) {
-        case 1: stopCause = "job-timeout"; break;
-        case 2: stopCause = "run-budget"; break;
-        case 3: stopCause = "external-stop"; break;
-        default: break;
-        }
+        const auto stopCause = static_cast<formal::UnknownReason>(es.runStopCause);
         std::printf("robust: deadline-degraded=%llu run-stop-cause=%s\n",
-                    static_cast<unsigned long long>(es.deadlineDegraded), stopCause);
+                    static_cast<unsigned long long>(es.deadlineDegraded),
+                    formal::unknownReasonName(stopCause));
         if (!es.cacheDegradedReason.empty())
             std::printf("cache: disabled (%s)\n", es.cacheDegradedReason.c_str());
     }
